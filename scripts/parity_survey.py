@@ -6,8 +6,9 @@ branch counts with all-odd parts and at most two parts, and list the keys
 meeting those conditions whose value is nevertheless even (grouped by branch
 count, compared to the bundled published list where available).
 
-The scan up to 14 takes well under a minute; going to 18 is supported with
---allow-long and takes a few minutes of exact big-integer arithmetic.
+The scan up to 14 takes about 0.1 s; going to 18 is supported with
+--allow-long and takes about 0.3 s (up to 20: 0.6 s) of exact big-integer
+arithmetic, measured with Python 3.11 on one core of a 2-vCPU machine.
 """
 
 import argparse

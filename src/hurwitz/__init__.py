@@ -9,7 +9,6 @@ from .analysis import (
     AuditRecord,
     AuditReport,
     coefficient_audit,
-    coefficient_terms,
     converse_failures,
     identity_suite,
     integrality_audit,
@@ -21,7 +20,7 @@ from .engine import (
     GenSeries,
     HurwitzCache,
     cache_load,
-    cache_save,
+    coefficient_terms,
     connected_from_log,
     covering_series,
     covering_series_charsum,
@@ -56,7 +55,6 @@ from .symfunc import (
     central_character,
     character,
     cut_and_join,
-    cut_and_join_deformed,
     jack_eigenvalue,
     schur_in_power_sums,
 )

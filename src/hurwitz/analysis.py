@@ -7,15 +7,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Iterable
 
 from . import reference_data
-from .engine import HurwitzCache, hurwitz_number, one_part_genus0
+from .engine import HurwitzCache, coefficient_terms, hurwitz_number, one_part_genus0
 from .partitions import (
     Partition,
-    aut_count,
-    multiplicities,
     partitions_of,
     ramification,
     sort_to_partition,
@@ -131,117 +128,7 @@ def integrality_audit(r_max: int, cache: HurwitzCache | None = None) -> AuditRep
 
 
 # ---------------------------------------------------------------------------
-# recursion coefficient ledger
-
-@dataclass(frozen=True)
-class CoefficientTerm:
-    """One collapsed right-hand-side term of the recursion for a fixed key."""
-
-    label: str
-    coefficient: Fraction
-    children: tuple[tuple[int, Partition], ...]
-    binomial: int | None = None  # the branch-point binomial, for split terms
-
-
-def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
-    """Collapsed coefficient families of the recursion at (g, k).
-
-    Multiplicity collapsing follows the identities
-      merge, distinct parts a != b:   (m_{a+b} + 1)(a + b)
-      merge, equal parts a:           (m_{2a} + 1) a
-      genus-drop cut, alpha != beta:  alpha beta (m_alpha + 1)(m_beta + 1)
-      genus-drop cut, alpha = beta:   (alpha^2 / 2)(m_alpha + 1)(m_alpha + 2)
-      disconnecting cut:  eps (m_alpha(l)+1)(m_beta(n)+1)(alpha beta / 2) binom(r-1, r1)
-    with eps = 1 exactly when both factors coincide (then the binomial is a
-    central binomial, hence even).
-    """
-    lam = sort_to_partition(k)
-    r = ramification(g, lam)
-    m = multiplicities(lam)
-    values = sorted(m, reverse=True)
-    terms: list[CoefficientTerm] = []
-
-    # merges
-    for ai, a in enumerate(values):
-        for b in values[ai:]:
-            if a == b and m[a] < 2:
-                continue
-            merged = _replace(lam, (a, b), (a + b,))
-            coeff = Fraction((m[a + b] + 1) * a) if a == b else Fraction((m[a + b] + 1) * (a + b))
-            label = "merge-equal" if a == b else "merge-distinct"
-            terms.append(CoefficientTerm(label, coeff, ((g, merged),)))
-
-    # genus-drop cuts
-    if g >= 1:
-        for a in values:
-            for alpha in range(1, a // 2 + 1):
-                beta = a - alpha
-                prof = _replace(lam, (a,), (alpha, beta))
-                if alpha == beta:
-                    coeff = Fraction(alpha * alpha, 2) * (m[alpha] + 1) * (m[alpha] + 2)
-                    label = "cut-genus-equal"
-                else:
-                    coeff = Fraction(alpha * beta * (m[alpha] + 1) * (m[beta] + 1))
-                    label = "cut-genus-distinct"
-                terms.append(CoefficientTerm(label, coeff, ((g - 1, prof),)))
-
-    # disconnecting cuts: one side takes sub-multiset l of the remaining
-    # parts plus alpha, the other the complement plus beta; the swap of the
-    # two sides is collapsed into eps.
-    for a in values:
-        rest = _replace(lam, (a,), ())
-        for l_multiset in _submultisets(rest):
-            n_multiset = _multiset_difference(rest, l_multiset)
-            for alpha in range(1, a):
-                beta = a - alpha
-                lp = tuple(sorted(l_multiset + (alpha,), reverse=True))
-                np_ = tuple(sorted(n_multiset + (beta,), reverse=True))
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    side = (g1, alpha, l_multiset)
-                    mirror = (g2, beta, n_multiset)
-                    if side > mirror:
-                        continue  # counted from the mirror enumeration
-                    eps = 1 if side == mirror else 2
-                    r1 = ramification(g1, lp)
-                    binomial = comb(r - 1, r1)
-                    m_l = sum(1 for x in l_multiset if x == alpha)
-                    m_n = sum(1 for x in n_multiset if x == beta)
-                    coeff = (
-                        eps
-                        * (m_l + 1)
-                        * (m_n + 1)
-                        * Fraction(alpha * beta, 2)
-                        * binomial
-                    )
-                    label = "split-symmetric" if eps == 1 else "split"
-                    terms.append(
-                        CoefficientTerm(label, coeff, ((g1, lp), (g2, np_)), binomial)
-                    )
-    return terms
-
-
-def _replace(lam: Partition, remove: tuple[int, ...], add: tuple[int, ...]) -> Partition:
-    parts = list(lam)
-    for x in remove:
-        parts.remove(x)
-    return tuple(sorted(parts + list(add), reverse=True))
-
-
-def _submultisets(parts: Partition) -> list[tuple[int, ...]]:
-    """All sub-multisets, each listed once, in deterministic order."""
-    out = [()]
-    for v, mult in sorted(multiplicities(parts).items(), reverse=True):
-        out = [prev + (v,) * take for prev in out for take in range(mult + 1)]
-    return [tuple(sorted(s, reverse=True)) for s in out]
-
-
-def _multiset_difference(whole: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
-    remaining = list(whole)
-    for x in part:
-        remaining.remove(x)
-    return tuple(sorted(remaining, reverse=True))
-
+# recursion coefficient audit
 
 def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
     """Check every collapsed recursion coefficient at (g, k) is a non-negative integer.
@@ -279,22 +166,6 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
             AuditRecord(term.label, g, lam, str(term.coefficient), ok, detail)
         )
     return report
-
-
-def reconstruct_from_terms(g: int, k: Iterable[int], cache: HurwitzCache | None = None) -> Fraction:
-    """Re-evaluate the recursion from the collapsed coefficient ledger.
-
-    Independent consistency check: summing coefficient times child values
-    must reproduce the memoized recursion.
-    """
-    store = cache if cache is not None else HurwitzCache()
-    total = Fraction(0)
-    for term in coefficient_terms(g, k):
-        prod = term.coefficient
-        for cg, cmu in term.children:
-            prod *= hurwitz_number(cg, cmu, store)
-        total += prod
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -124,23 +123,13 @@ def _table_keys(g_max: int, n_max: int) -> list[Partition]:
     return keys
 
 
-def _compute_row(args: tuple[Partition, int]) -> tuple[Partition, list[str]]:
-    mu, g_max = args
-    cache = HurwitzCache()
-    return mu, [str(engine.hurwitz_number(g, mu, cache)) for g in range(g_max + 1)]
-
-
 def table_values(
-    g_max: int, n_max: int, cache: HurwitzCache, jobs: int = 1, weight_exactly: int | None = None
+    g_max: int, n_max: int, cache: HurwitzCache, weight_exactly: int | None = None
 ) -> list[tuple[Partition, list[str]]]:
     """Rows (profile, values for g = 0..g_max) in table order."""
     keys = _table_keys(g_max, n_max)
     if weight_exactly is not None:
         keys = [mu for mu in keys if sum(mu) == weight_exactly]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_compute_row, [(mu, g_max) for mu in keys]))
-        return rows
     return [
         (mu, [str(engine.hurwitz_number(g, mu, cache)) for g in range(g_max + 1)])
         for mu in keys
@@ -251,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--nmax", type=int, default=5)
     p_table.add_argument("--weight", type=int, default=None, help="restrict to |mu| equal to this")
     p_table.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p_table.add_argument("--jobs", type=int, default=1)
     p_table.add_argument("--cache", default=None)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
@@ -313,10 +301,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.gmax < 0 or args.nmax < 0:
             raise UsageError("bounds must be non-negative")
         cache = _load_cache(args.cache)
-        rows = table_values(args.gmax, args.nmax, cache, jobs=args.jobs, weight_exactly=args.weight)
+        rows = table_values(args.gmax, args.nmax, cache, weight_exactly=args.weight)
         print(render_table(rows, args.gmax, args.format))
-        if args.jobs <= 1:
-            _save_cache(cache)
+        _save_cache(cache)
         return 0
 
     if args.command == "verify":

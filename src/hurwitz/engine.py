@@ -27,6 +27,7 @@ from .partitions import (
     centralizer_order,
     content_sum,
     dim_irrep,
+    multiplicities,
     partitions_of,
     ramification,
     sort_to_partition,
@@ -372,90 +373,159 @@ def cache_load(path: str) -> HurwitzCache:
     return cache
 
 
-def cache_save(cache: HurwitzCache, path: str) -> str:
-    return cache.save(path)
-
-
 # ---------------------------------------------------------------------------
 # cut-and-join recursion
+
+@dataclass(frozen=True)
+class CoefficientTerm:
+    """One collapsed right-hand-side term of the recursion for a fixed key."""
+
+    label: str
+    coefficient: Fraction
+    children: tuple[tuple[int, Partition], ...]
+    binomial: int | None = None  # the branch-point binomial, for split terms
+
+
+def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
+    """Collapsed coefficient families of the recursion at (g, k).
+
+    The value at (g, k) is the sum over these terms of the coefficient times
+    the product of the children's values.  Multiplicity collapsing follows
+    the identities
+      merge, distinct parts a != b:   (m_{a+b} + 1)(a + b)
+      merge, equal parts a:           (m_{2a} + 1) a
+      genus-drop cut, alpha != beta:  alpha beta (m_alpha + 1)(m_beta + 1)
+      genus-drop cut, alpha = beta:   (alpha^2 / 2)(m_alpha + 1)(m_alpha + 2)
+      disconnecting cut:  eps (m_alpha(l)+1)(m_beta(n)+1)(alpha beta / 2) binom(r-1, r1)
+    with eps = 1 exactly when both factors coincide (then the binomial is a
+    central binomial, hence even).
+    """
+    lam = sort_to_partition(k)
+    r = ramification(g, lam)
+    m = multiplicities(lam)
+    values = sorted(m, reverse=True)
+    terms: list[CoefficientTerm] = []
+
+    # merges
+    for ai, a in enumerate(values):
+        for b in values[ai:]:
+            if a == b and m[a] < 2:
+                continue
+            merged = _replace(lam, (a, b), (a + b,))
+            coeff = Fraction((m[a + b] + 1) * a) if a == b else Fraction((m[a + b] + 1) * (a + b))
+            label = "merge-equal" if a == b else "merge-distinct"
+            terms.append(CoefficientTerm(label, coeff, ((g, merged),)))
+
+    # genus-drop cuts
+    if g >= 1:
+        for a in values:
+            for alpha in range(1, a // 2 + 1):
+                beta = a - alpha
+                prof = _replace(lam, (a,), (alpha, beta))
+                if alpha == beta:
+                    coeff = Fraction(alpha * alpha, 2) * (m[alpha] + 1) * (m[alpha] + 2)
+                    label = "cut-genus-equal"
+                else:
+                    coeff = Fraction(alpha * beta * (m[alpha] + 1) * (m[beta] + 1))
+                    label = "cut-genus-distinct"
+                terms.append(CoefficientTerm(label, coeff, ((g - 1, prof),)))
+
+    # disconnecting cuts: one side takes sub-multiset l of the remaining
+    # parts plus alpha, the other the complement plus beta; the swap of the
+    # two sides is collapsed into eps.
+    for a in values:
+        rest = _replace(lam, (a,), ())
+        for l_multiset in _submultisets(rest):
+            n_multiset = _multiset_difference(rest, l_multiset)
+            for alpha in range(1, a):
+                beta = a - alpha
+                lp = tuple(sorted(l_multiset + (alpha,), reverse=True))
+                np_ = tuple(sorted(n_multiset + (beta,), reverse=True))
+                for g1 in range(g + 1):
+                    g2 = g - g1
+                    side = (g1, alpha, l_multiset)
+                    mirror = (g2, beta, n_multiset)
+                    if side > mirror:
+                        continue  # counted from the mirror enumeration
+                    eps = 1 if side == mirror else 2
+                    r1 = ramification(g1, lp)
+                    binomial = comb(r - 1, r1)
+                    m_l = sum(1 for x in l_multiset if x == alpha)
+                    m_n = sum(1 for x in n_multiset if x == beta)
+                    coeff = (
+                        eps
+                        * (m_l + 1)
+                        * (m_n + 1)
+                        * Fraction(alpha * beta, 2)
+                        * binomial
+                    )
+                    label = "split-symmetric" if eps == 1 else "split"
+                    terms.append(
+                        CoefficientTerm(label, coeff, ((g1, lp), (g2, np_)), binomial)
+                    )
+    return terms
+
+
+def _replace(lam: Partition, remove: tuple[int, ...], add: tuple[int, ...]) -> Partition:
+    parts = list(lam)
+    for x in remove:
+        parts.remove(x)
+    return tuple(sorted(parts + list(add), reverse=True))
+
+
+def _submultisets(parts: Partition) -> list[tuple[int, ...]]:
+    """All sub-multisets, each listed once, in deterministic order."""
+    out = [()]
+    for v, mult in sorted(multiplicities(parts).items(), reverse=True):
+        out = [prev + (v,) * take for prev in out for take in range(mult + 1)]
+    return [tuple(sorted(s, reverse=True)) for s in out]
+
+
+def _multiset_difference(whole: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
+    remaining = list(whole)
+    for x in part:
+        remaining.remove(x)
+    return tuple(sorted(remaining, reverse=True))
+
 
 def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None) -> Fraction:
     """Connected Hurwitz number by the memoized cut-and-join recursion.
 
     Accepts any multi-index for mu; the value depends only on the underlying
-    partition.  Every recursive step strictly decreases the ramification
-    count, so the recursion terminates at the single count-zero profile.
+    partition.  The ledger of `coefficient_terms` is evaluated with an
+    explicit stack, children before parents, so no Python recursion limit
+    applies.  Every child has a strictly smaller branch count, so evaluation
+    ends at the single count-zero key (0, (1)), the trivial covering.
     """
     lam = sort_to_partition(mu)
     ramification(g, lam)  # validates g and lam
     store = cache if cache is not None else HurwitzCache()
-    return _h_rec(g, lam, store)
-
-
-def _h_rec(g: int, lam: Partition, store: HurwitzCache) -> Fraction:
-    hit = store.get(g, lam)
-    if hit is not None:
-        return hit
-    ell = len(lam)
-    n = sum(lam)
-    r = 2 * g - 2 + ell + n
-    if r == 0:
-        # forced to be genus 0 with profile (1): the trivial covering
-        value = Fraction(1)
-        store.insert(g, lam, value)
-        return value
-    aut_k = aut_count(lam)
-    total = Fraction(0)
-    # join: merge two parts into one
-    for i in range(ell):
-        for j in range(i + 1, ell):
-            merged = tuple(
-                sorted(lam[:i] + lam[i + 1 : j] + lam[j + 1 :] + (lam[i] + lam[j],), reverse=True)
-            )
-            total += Fraction(aut_count(merged) * (lam[i] + lam[j]), aut_k) * _h_rec(g, merged, store)
-    half = Fraction(1, 2)
-    for i in range(ell):
-        v = lam[i]
-        rest = lam[:i] + lam[i + 1 :]
-        subsets = None
-        for alpha in range(1, v):
-            beta = v - alpha
-            # cut keeping the surface connected: genus drops by one
-            if g >= 1:
-                prof = tuple(sorted(rest + (alpha, beta), reverse=True))
-                total += (
-                    half * alpha * beta * Fraction(aut_count(prof), aut_k) * _h_rec(g - 1, prof, store)
-                )
-            # cut disconnecting the surface: distribute genus and the
-            # remaining parts (positions distinguished) over the two sides
-            if subsets is None:
-                subsets = _bipartitions(rest)
-            for left, right in subsets:
-                lp = tuple(sorted(left + (alpha,), reverse=True))
-                np_ = tuple(sorted(right + (beta,), reverse=True))
-                r1_base = len(lp) + sum(lp) - 2
-                w = half * alpha * beta * Fraction(aut_count(lp) * aut_count(np_), aut_k)
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    total += (
-                        w
-                        * comb(r - 1, r1_base + 2 * g1)
-                        * _h_rec(g1, lp, store)
-                        * _h_rec(g2, np_, store)
-                    )
-    store.insert(g, lam, total)
-    return total
-
-
-def _bipartitions(parts: Partition) -> list[tuple[Partition, Partition]]:
-    """All 2^len ordered splits of a position-distinguished part list."""
-    out = []
-    m = len(parts)
-    for mask in range(1 << m):
-        left = tuple(parts[i] for i in range(m) if mask >> i & 1)
-        right = tuple(parts[i] for i in range(m) if not mask >> i & 1)
-        out.append((left, right))
-    return out
+    known = store.entries
+    # (key, its terms once built); a key is expanded on its first visit and
+    # summed on its second, when every child above it has been inserted.
+    stack: list[tuple[tuple[int, Partition], list[CoefficientTerm] | None]] = [((g, lam), None)]
+    while stack:
+        key, terms = stack.pop()
+        if key in known:
+            continue
+        if key == (0, (1,)):
+            store.insert(0, (1,), Fraction(1))
+            continue
+        if terms is None:
+            terms = coefficient_terms(*key)
+            missing = [child for term in terms for child in term.children if child not in known]
+            if missing:
+                stack.append((key, terms))
+                stack.extend((child, None) for child in missing)
+                continue
+        total = Fraction(0)
+        for term in terms:
+            value = term.coefficient
+            for child in term.children:
+                value *= known[child]
+            total += value
+        store.insert(*key, total)
+    return known[(g, lam)]
 
 
 def hurwitz_normalized(g: int, k: Sequence[int], h: Fraction) -> Fraction:

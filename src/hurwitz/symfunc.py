@@ -133,14 +133,6 @@ class PowerSumPoly:
         return "PowerSumPoly(" + " + ".join(bits) + ")"
 
 
-def poly_add(a: PowerSumPoly, b: PowerSumPoly) -> PowerSumPoly:
-    return a + b
-
-
-def poly_mul(a: PowerSumPoly, b: PowerSumPoly) -> PowerSumPoly:
-    return a * b
-
-
 # ---------------------------------------------------------------------------
 # characters
 
@@ -222,16 +214,21 @@ def schur_in_power_sums(lam: Partition) -> PowerSumPoly:
 # ---------------------------------------------------------------------------
 # cut-and-join
 
-def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
-    """Apply the cut-and-join operator.
+def cut_and_join(poly: PowerSumPoly, alpha: Scalar = 1) -> PowerSumPoly:
+    """Apply the cut-and-join operator, or its one-parameter deformation.
 
     The operator is (1/2) sum_{k,l>=1} [(k+l) p_k p_l d/dp_{k+l}
     + k l p_{k+l} d/dp_k d/dp_l], applied monomial by monomial: each part v
     may be cut into an unordered pair {k, v-k}, and each unordered pair of
     parts may be joined into their sum.  All resulting coefficients are
     integers, so the image of an integral polynomial stays integral.
+
+    For alpha != 1 the join term carries a factor alpha and an extra
+    diagonal term (alpha - 1)/2 sum_k k^2 p_k d/dp_k appears; at alpha = 1
+    this is the plain operator.
     """
-    out = PowerSumPoly.zero()
+    alpha = Fraction(alpha)
+    deformed = alpha != 1
     acc: dict[Partition, Fraction] = {}
     for mu, coeff in poly.terms.items():
         m = multiplicities(mu)
@@ -257,53 +254,15 @@ def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
                 else:
                     factor = Fraction(a * b * m[a] * m[b])
                     removed = [a, b]
+                if deformed:
+                    factor *= alpha
                 base = list(mu)
                 for x in removed:
                     base.remove(x)
                 key = tuple(sorted(base + [a + b], reverse=True))
                 acc[key] = acc.get(key, Fraction(0)) + coeff * factor
-    out.terms = {k: v for k, v in acc.items() if v}
-    return out
-
-
-def cut_and_join_deformed(poly: PowerSumPoly, alpha: Scalar) -> PowerSumPoly:
-    """One-parameter deformation of the cut-and-join operator.
-
-    The join term carries a factor alpha and an extra diagonal term
-    (alpha - 1)/2 sum_k k^2 p_k d/dp_k appears; at alpha = 1 this is the plain
-    operator.
-    """
-    alpha = Fraction(alpha)
-    acc: dict[Partition, Fraction] = {}
-    for mu, coeff in poly.terms.items():
-        m = multiplicities(mu)
-        values = sorted(m)
-        for v in values:
-            mult = m[v]
-            base = list(mu)
-            base.remove(v)
-            for k in range(1, v // 2 + 1):
-                l = v - k
-                factor = Fraction(v * mult) if k != l else Fraction(v * mult, 2)
-                key = tuple(sorted(base + [k, l], reverse=True))
-                acc[key] = acc.get(key, Fraction(0)) + coeff * factor
-        for ai, a in enumerate(values):
-            for b in values[ai:]:
-                if a == b:
-                    if m[a] < 2:
-                        continue
-                    factor = Fraction(a * a * m[a] * (m[a] - 1), 2)
-                    removed = [a, a]
-                else:
-                    factor = Fraction(a * b * m[a] * m[b])
-                    removed = [a, b]
-                base = list(mu)
-                for x in removed:
-                    base.remove(x)
-                key = tuple(sorted(base + [a + b], reverse=True))
-                acc[key] = acc.get(key, Fraction(0)) + coeff * alpha * factor
-        diag = (alpha - 1) * Fraction(sum(v * v * m[v] for v in values), 2)
-        if diag:
+        if deformed:
+            diag = (alpha - 1) * Fraction(sum(v * v * m[v] for v in values), 2)
             acc[mu] = acc.get(mu, Fraction(0)) + coeff * diag
     out = PowerSumPoly.zero()
     out.terms = {k: v for k, v in acc.items() if v}

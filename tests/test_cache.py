@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from hurwitz import CacheConflictError, HurwitzCache, cache_load, cache_save, hurwitz_number
+from hurwitz import CacheConflictError, HurwitzCache, cache_load, hurwitz_number
 
 
 def test_insert_get_and_idempotence():
@@ -23,7 +23,7 @@ def test_save_load_roundtrip(tmp_path):
     cache.insert(0, (1,), Fraction(1))
     cache.insert(0, (2,), Fraction(1, 2))
     cache.insert(2, (2, 1), Fraction(364))
-    cache_save(cache, path)
+    cache.save(path)
     loaded = cache_load(path)
     assert loaded.entries == cache.entries
     assert not loaded.missing_on_load

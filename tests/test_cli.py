@@ -60,6 +60,13 @@ def test_compute_exponent_shorthand_expanded_in_output(capsys):
     assert "(2,1,1)" in out and "^" not in out.split("#")[0]
 
 
+def test_compute_deep_genus(capsys):
+    # the recursion runs without Python recursion, so depth is no limit
+    code, out, _ = run(capsys, "compute", "500", "2")
+    assert code == 0
+    assert "= 1/2" in out
+
+
 def test_compute_usage_errors(capsys):
     code, _, err = run(capsys, "compute", "0", "2,x")
     assert code == 2 and "error" in err
@@ -108,12 +115,6 @@ def test_table_deterministic(capsys):
     _, first, _ = run(capsys, "table", "--gmax", "3", "--nmax", "4")
     _, second, _ = run(capsys, "table", "--gmax", "3", "--nmax", "4")
     assert first == second
-
-
-def test_table_jobs_matches_serial(capsys):
-    _, serial, _ = run(capsys, "table", "--gmax", "2", "--nmax", "3", "--format", "csv")
-    _, parallel, _ = run(capsys, "table", "--gmax", "2", "--nmax", "3", "--format", "csv", "--jobs", "2")
-    assert serial == parallel
 
 
 def test_table_weight_restriction(capsys):

@@ -6,14 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 import hurwitz.engine as engine
 from hurwitz import (
+    coefficient_terms,
     connected_from_log,
     disconnected_count_charsum,
     disconnected_count_operator,
     hurwitz_normalized,
     hurwitz_number,
+    keys_with_ramification_at_most,
     one_part_closed,
     one_part_closed_stirling,
     one_part_genus0,
+    parity_scan,
     partitions_of,
     ramification,
     signed_surjection_count,
@@ -81,25 +84,21 @@ def test_merge_identity(shared_cache):
             )
 
 
-def test_recursion_termination_metric(shared_cache, monkeypatch):
-    original = engine._h_rec
-    stack = []
-    seen_pairs = []
+def test_recursion_termination_metric():
+    # every child of the ledger has a strictly smaller branch count
+    for g, mu in keys_with_ramification_at_most(10):
+        r = ramification(g, mu)
+        for term in coefficient_terms(g, mu):
+            assert all(ramification(cg, cmu) < r for cg, cmu in term.children), (g, mu, term)
 
-    def instrumented(g, lam, store):
-        r = 2 * g - 2 + len(lam) + sum(lam)
-        if stack:
-            seen_pairs.append((stack[-1], r))
-        stack.append(r)
-        try:
-            return original(g, lam, store)
-        finally:
-            stack.pop()
 
-    monkeypatch.setattr(engine, "_h_rec", instrumented)
-    engine.hurwitz_number(2, (3, 2), engine.HurwitzCache())
-    assert seen_pairs, "recursion was expected to recurse"
-    assert all(child < parent for parent, child in seen_pairs)
+def test_recursion_inserts_exactly_the_reachable_keys():
+    cache = engine.HurwitzCache()
+    hurwitz_number(2, (3, 2), cache)
+    assert len(cache) == 42
+    cache = engine.HurwitzCache()
+    parity_scan(10, cache)
+    assert len(cache) == 151
 
 
 @given(st.randoms(use_true_random=False))

@@ -12,7 +12,6 @@ from hurwitz import (
     content_sum,
     conj_class_size,
     cut_and_join,
-    cut_and_join_deformed,
     dim_irrep,
     jack_eigenvalue,
     partitions_of,
@@ -173,14 +172,17 @@ def test_schur_eigenvectors():
 @given(small_polys())
 @settings(deadline=None)
 def test_deformed_operator_specializes_at_one(poly):
-    assert cut_and_join_deformed(poly, 1) == cut_and_join(poly)
+    assert cut_and_join(poly, 1) == cut_and_join(poly)
+    # the deformation is affine in alpha, so the plain operator at alpha = 1
+    # is the mean of the deformed ones at alpha = 0 and alpha = 2
+    assert (cut_and_join(poly, 0) + cut_and_join(poly, 2)) * Fraction(1, 2) == cut_and_join(poly)
 
 
 def test_deformed_operator_on_single_power_sums():
     for alpha in (Fraction(0), Fraction(2), Fraction(1, 3), Fraction(-5, 2)):
-        assert cut_and_join_deformed(P.p(1), alpha) == P.monomial((1,), (alpha - 1) / 2)
+        assert cut_and_join(P.p(1), alpha) == P.monomial((1,), (alpha - 1) / 2)
         # expansion by hand: cut stays unweighted, diagonal adds 2(alpha-1) p_2
-        assert cut_and_join_deformed(P.p(2), alpha) == P(
+        assert cut_and_join(P.p(2), alpha) == P(
             {(1, 1): Fraction(1), (2,): 2 * (alpha - 1)}
         )
 
@@ -191,9 +193,9 @@ def test_deformed_operator_degree_two_eigenfunctions():
     #   (p_1^2 - p_2)/2 with eigenvalue alpha - 2
     for alpha in (Fraction(2), Fraction(3), Fraction(1, 2)):
         top = P.p(2) + (P.monomial((1, 1)) - P.p(2)) * Fraction(1, 1 + alpha)
-        assert cut_and_join_deformed(top, alpha) == top * jack_eigenvalue((2,), alpha)
+        assert cut_and_join(top, alpha) == top * jack_eigenvalue((2,), alpha)
         bottom = (P.monomial((1, 1)) - P.p(2)) * Fraction(1, 2)
-        assert cut_and_join_deformed(bottom, alpha) == bottom * jack_eigenvalue((1, 1), alpha)
+        assert cut_and_join(bottom, alpha) == bottom * jack_eigenvalue((1, 1), alpha)
 
 
 def test_jack_eigenvalue():
