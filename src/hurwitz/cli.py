@@ -2,7 +2,8 @@
 suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
-(bad syntax, method/input mismatch, refused oracle searches).
+(bad syntax, method/input mismatch, refused oracle searches, an unreadable
+or unwritable cache path).
 """
 
 from __future__ import annotations
@@ -173,6 +174,9 @@ def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache, out) ->
         print(("PASS" if passed else "FAIL") + f" {label}: {detail}", file=out)
 
     keys = analysis.keys_with_ramification_at_most(r_max)
+    # Every key has |mu| <= r_max + 1: build each log table once, at full size.
+    for method in ("operator", "charsum"):
+        engine.log_table(r_max + 1, r_max, method)
     mismatches = []
     for g, mu in keys:
         h = engine.hurwitz_number(g, mu, cache)
@@ -271,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.WorkBoundExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

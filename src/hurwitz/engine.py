@@ -11,6 +11,7 @@ this module.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -190,14 +191,29 @@ def disconnected_count_charsum(d: int, r: int, mu: Iterable[int]) -> Fraction:
         raise ValueError(f"{mu} is not a partition of {d} >= 1")
     if r < 0:
         raise ValueError("r must be non-negative")
-    z = centralizer_order(mu)
-    total = Fraction(0)
-    for lam in partitions_of(d):
+    return _charsum_counts(_irreps(d), mu, (r,))[0]
+
+
+def _irreps(d: int) -> list[tuple[Partition, int, int]]:
+    """(lam, dim lam, content_sum lam) for every partition lam of d."""
+    return [(lam, dim_irrep(lam), content_sum(lam)) for lam in partitions_of(d)]
+
+
+def _charsum_counts(
+    irreps: list[tuple[Partition, int, int]], mu: Partition, rs: Iterable[int]
+) -> list[Fraction]:
+    """The character sum at mu for each r in rs.
+
+    The characters at mu are looked up once; each r then costs one integer
+    sum of dim lam * chi^lam_mu * (content_sum lam)^r over d! z_mu.
+    """
+    weights = []
+    for lam, dim, c in irreps:
         chi = character(lam, mu)
-        if not chi:
-            continue
-        total += Fraction(dim_irrep(lam), factorial(d)) * Fraction(content_sum(lam)) ** r * Fraction(chi, z)
-    return total
+        if chi:
+            weights.append((c, dim * chi))
+    den = factorial(sum(mu)) * centralizer_order(mu)
+    return [Fraction(sum(w * c**r for c, w in weights), den) for r in rs]
 
 
 @lru_cache(maxsize=None)
@@ -239,9 +255,10 @@ def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
     out = GenSeries(d_max, r_max)
     out.set(0, 0, (), 1)
     for d in range(1, d_max + 1):
-        for r in range(r_max + 1):
-            for mu in partitions_of(d):
-                out.set(d, r, mu, disconnected_count_charsum(d, r, mu))
+        irreps = _irreps(d)
+        for mu in partitions_of(d):
+            for r, value in enumerate(_charsum_counts(irreps, mu, range(r_max + 1))):
+                out.set(d, r, mu, value)
     return out
 
 
@@ -255,7 +272,12 @@ _SERIES_BUILDERS = {
 }
 
 
-def _log_table(d_max: int, r_max: int, method: str) -> GenSeries:
+def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
+    """Logarithm of the covering series built by `method`, at least to the bounds.
+
+    A table is rebuilt, at the larger bounds, only when a request exceeds
+    it; a caller that knows its largest key builds the table once up front.
+    """
     with _log_lock:
         cur = _log_tables.get(method)
         if cur is not None and cur.d_max >= d_max and cur.r_max >= r_max:
@@ -271,7 +293,7 @@ def connected_from_log(g: int, mu: Iterable[int], method: str = "operator") -> F
     """Connected Hurwitz number read off the logarithm of the covering series."""
     mu = sort_to_partition(mu)
     r = ramification(g, mu)
-    table = _log_table(sum(mu), r, method)
+    table = log_table(sum(mu), r, method)
     return table[(sum(mu), r, mu)]
 
 
@@ -337,10 +359,20 @@ class HurwitzCache:
         for (g, mu), value in sorted(self.entries.items(), key=lambda it: _cache_sort_key(it)):
             rec = {"g": g, "mu": list(mu), "num": str(value.numerator), "den": str(value.denominator)}
             lines.append(json.dumps(rec, separators=(",", ":")))
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
+        # Write a sibling file and rename it over the target, so a crash or a
+        # failed write leaves the old cache whole.  The name is unique per
+        # thread of each process, so concurrent saves never share it.
+        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        try:
+            with open(tmp, "w", encoding="ascii") as fh:
+                fh.write("\n".join(lines))
+                if lines:
+                    fh.write("\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+            raise
         self.path = path
         self.dirty = False
         return path

@@ -1,4 +1,5 @@
 import json
+import os
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,25 @@ def test_save_load_roundtrip(tmp_path):
     loaded = cache_load(path)
     assert loaded.entries == cache.entries
     assert not loaded.missing_on_load
+
+
+def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "cache.jsonl"
+    cache = HurwitzCache()
+    cache.insert(0, (1,), Fraction(1))
+    cache.save(str(path))
+    before = path.read_bytes()
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    cache.insert(0, (2,), Fraction(1, 2))
+    monkeypatch.setattr(os, "replace", broken_replace)
+    with pytest.raises(OSError, match="disk full"):
+        cache.save(str(path))
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
+    assert cache.dirty
 
 
 def test_load_missing_path_gives_empty_cache_with_flag(tmp_path):

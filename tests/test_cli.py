@@ -183,6 +183,33 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL cross-method" in out
 
 
+def test_verify_builds_each_series_once(capsys, monkeypatch, tmp_path):
+    import hurwitz.engine
+
+    calls = {}
+
+    def counted(method, builder):
+        def wrapper(d_max, r_max):
+            calls.setdefault(method, []).append((d_max, r_max))
+            return builder(d_max, r_max)
+
+        return wrapper
+
+    monkeypatch.setattr(hurwitz.engine, "_log_tables", {})
+    for method, builder in list(hurwitz.engine._SERIES_BUILDERS.items()):
+        monkeypatch.setitem(hurwitz.engine._SERIES_BUILDERS, method, counted(method, builder))
+    code, out, _ = run(capsys, "verify", "--rmax", "6", "--cache", str(tmp_path / "v.jsonl"))
+    assert code == 0 and "FAIL" not in out
+    assert calls == {"operator": [(7, 6)], "charsum": [(7, 6)]}
+
+
+@pytest.mark.parametrize("argv", [("compute", "1", "3"), ("cache", "stats")])
+def test_cache_path_that_is_a_directory_exits_2(capsys, tmp_path, argv):
+    code, _, err = run(capsys, *argv, "--cache", str(tmp_path))
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cache_commands(capsys, isolated_cache):
     code, out, _ = run(capsys, "cache", "path")
     assert code == 0 and out.strip() == isolated_cache

@@ -4,7 +4,13 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz import GenSeries, covering_series, covering_series_charsum, partitions_of
+from hurwitz import (
+    GenSeries,
+    covering_series,
+    covering_series_charsum,
+    disconnected_count_charsum,
+    partitions_of,
+)
 
 
 def test_set_get_and_truncation():
@@ -121,7 +127,15 @@ def test_exp_log_roundtrip_on_random_series(series):
 
 
 def test_operator_and_charsum_series_agree():
-    assert covering_series_charsum(5, 6) == covering_series(5, 6)
+    assert covering_series_charsum(7, 7) == covering_series(7, 7)
+
+
+def test_charsum_series_entries_are_the_pointwise_character_sums():
+    series = covering_series_charsum(6, 6)
+    for d in range(1, 7):
+        for mu in partitions_of(d):
+            for r in range(7):
+                assert series[(d, r, mu)] == disconnected_count_charsum(d, r, mu)
 
 
 def test_items_order_is_deterministic():
