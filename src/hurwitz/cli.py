@@ -205,11 +205,13 @@ def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache, out) ->
     if with_oracle:
         bad = 0
         checked = 0
-        for d in range(1, min(r_max + 2, 6)):
+        d_max, r_top = min(r_max + 1, 5), min(r_max, 6)
+        series = engine.covering_series_charsum(d_max, r_top)
+        for d in range(1, d_max + 1):
             for mu in partitions_of(d):
-                for r in range(min(r_max, 6) + 1):
+                for r in range(r_top + 1):
                     disc = oracle.count_covers_bruteforce(d, r, mu, connected=False)
-                    if disc != engine.disconnected_count_charsum(d, r, mu):
+                    if disc != series[(d, r, mu)]:
                         bad += 1
                     conn = oracle.count_covers_bruteforce(d, r, mu, connected=True)
                     base = len(mu) + d - 2
@@ -304,6 +306,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table":
         if args.gmax < 0 or args.nmax < 0:
             raise UsageError("bounds must be non-negative")
+        if args.weight is not None and args.weight < 0:
+            raise UsageError("weight must be non-negative")
         cache = _load_cache(args.cache)
         rows = table_values(args.gmax, args.nmax, cache, weight_exactly=args.weight)
         print(render_table(rows, args.gmax, args.format))
@@ -319,6 +323,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if ok else CHECK_FAILURE
 
     if args.command == "parity":
+        if args.rmax < 0:
+            raise UsageError("rmax must be non-negative")
         if args.rmax > 14 and not args.allow_long:
             raise UsageError("rmax beyond 14 requires --allow-long")
         cache = _load_cache(args.cache)

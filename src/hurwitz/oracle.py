@@ -3,8 +3,11 @@
 The count is (1/d!) times the number of tuples (t_1, ..., t_r, s) with each
 t_i a transposition, s of cycle type mu, and t_r ... t_1 s the identity,
 optionally restricted to tuples whose entries generate a transitive group.
-The search is deliberately naive: no pruning, transitivity tested only on
-complete tuples, division by d! once at the end.
+The equation fixes s as the inverse of t_r ... t_1, so the search enumerates
+the C(d,2)^r transposition tuples once and solves for s rather than searching
+for it: a tuple counts when its product has cycle type mu.  The search is
+deliberately naive: no pruning, transitivity tested only on complete tuples,
+division by d! once at the end.
 """
 
 from __future__ import annotations
@@ -78,15 +81,20 @@ def count_covers_bruteforce(
 ) -> Fraction:
     """Weighted count of factorizations t_r ... t_1 s = id by direct search.
 
-    Refuses (rather than truncates) when class size times C(d,2)^r exceeds
-    the work bound.
+    Every tuple (t_1, ..., t_r) of transpositions is enumerated once; s is
+    solved for as the inverse of t_r ... t_1, which has the product's cycle
+    type, so the tuple counts when that product has cycle type mu.
+
+    Refuses (rather than truncates) when class size times C(d,2)^r, plus the
+    group-indexing cost d! (C(d,2) + 1), exceeds the work bound.  That is an
+    upper bound on the search, kept as the refusal rule so that the same
+    inputs are refused as by a search from every s in the class.
     """
     mu = as_partition(mu)
     if sum(mu) != d or d < 1:
         raise ValueError(f"{mu} is not a partition of {d} >= 1")
     if r < 0:
         raise ValueError("r must be non-negative")
-    # dominant DFS term plus the one-off group-indexing cost
     work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
     if work > work_bound:
         raise WorkBoundExceeded(
@@ -107,60 +115,23 @@ def count_covers_bruteforce(
     lmul = [
         [index[tuple(t[p[i]] for i in range(d))] for p in perms] for t in trans_perms
     ]
-    id_idx = index[tuple(range(d))]
-    n_trans = len(trans_perms)
+    hit = [cycle_type(p) == mu for p in perms]
 
-    total = 0
-    for sigma in permutations_of_cycle_type(mu):
-        if connected:
-            total += _search_connected(
-                r, index[sigma], id_idx, n_trans, lmul, sigma, transpositions, d
-            )
-        else:
-            total += _search_all(r, index[sigma], id_idx, n_trans, lmul)
+    total = _search(r, index[tuple(range(d))], lmul, hit, transpositions if connected else None, d)
     return Fraction(total, factorial(d))
 
 
-def _search_all(r: int, start: int, id_idx: int, n_trans: int, lmul) -> int:
-    def rec(depth: int, prod_idx: int) -> int:
-        if depth == r:
-            return 1 if prod_idx == id_idx else 0
-        count = 0
-        for t in range(n_trans):
-            count += rec(depth + 1, lmul[t][prod_idx])
-        return count
+def _search(r: int, start: int, lmul, hit: list[bool], edges, d: int) -> int:
+    """Complete r-tuples whose product t_r ... t_1 is a hit.
 
-    return rec(0, start)
-
-
-def _search_connected(
-    r: int,
-    start: int,
-    id_idx: int,
-    n_trans: int,
-    lmul,
-    sigma: Perm,
-    transpositions: list[tuple[int, int]],
-    d: int,
-) -> int:
-    # Collapse the orbits of sigma once; a complete tuple is transitive iff
-    # its transpositions connect those orbits.
-    comp = list(range(d))
-    for i, j in enumerate(sigma):
-        ri, rj = comp[i], comp[j]
-        if ri != rj:
-            comp = [rj if c == ri else c for c in comp]
-    labels = {c: idx for idx, c in enumerate(dict.fromkeys(comp))}
-    comp = [labels[c] for c in comp]
-    n_comp = len(labels)
-    edge = [(comp[a], comp[b]) for a, b in transpositions]
-
+    With `edges` given, a tuple also has to join all d points: s lies in the
+    group its transpositions generate, so s adds no orbit to test.
+    """
+    n_trans = len(lmul)
     path: list[int] = []
 
-    def transitive_solution() -> int:
-        if n_comp == 1:
-            return 1
-        parent = list(range(n_comp))
+    def joins_all_points() -> bool:
+        parent = list(range(d))
 
         def find(x: int) -> int:
             while parent[x] != x:
@@ -168,22 +139,20 @@ def _search_connected(
                 x = parent[x]
             return x
 
-        remaining = n_comp
+        remaining = d
         for t in path:
-            a, b = edge[t]
+            a, b = edges[t]
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
                 remaining -= 1
-                if remaining == 1:
-                    return 1
-        return 1 if remaining == 1 else 0
+        return remaining == 1
 
     def rec(depth: int, prod_idx: int) -> int:
         if depth == r:
-            if prod_idx != id_idx:
+            if not hit[prod_idx]:
                 return 0
-            return transitive_solution()
+            return 1 if edges is None or joins_all_points() else 0
         count = 0
         for t in range(n_trans):
             path.append(t)

@@ -143,12 +143,45 @@ def test_verify_with_oracle(capsys):
     assert "PASS oracle" in out
 
 
+def test_verify_with_oracle_builds_one_charsum_series(capsys, monkeypatch):
+    import hurwitz.engine
+
+    calls = []
+    real = hurwitz.engine.covering_series_charsum
+
+    def counted(d_max, r_max):
+        calls.append((d_max, r_max))
+        return real(d_max, r_max)
+
+    def pointwise(*args):
+        raise AssertionError("disconnected_count_charsum called")
+
+    monkeypatch.setattr(hurwitz.engine, "covering_series_charsum", counted)
+    monkeypatch.setattr(hurwitz.engine, "disconnected_count_charsum", pointwise)
+    code, out, _ = run(capsys, "verify", "--rmax", "3", "--with-oracle")
+    assert code == 0
+    assert "PASS oracle: 88 brute-force comparisons, 0 mismatches" in out
+    assert calls == [(4, 3)]
+
+
 def test_parity_command(capsys):
     code, out, _ = run(capsys, "parity", "--rmax", "8")
     assert code == 0
     assert "0 failures" in out
     code, _, err = run(capsys, "parity", "--rmax", "16")
     assert code == 2 and "--allow-long" in err
+
+
+def test_parity_negative_rmax_exits_2(capsys):
+    code, out, err = run(capsys, "parity", "--rmax", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "rmax" in err
+
+
+def test_table_negative_weight_exits_2(capsys):
+    code, out, err = run(capsys, "table", "--weight", "-3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "weight" in err
 
 
 def test_parity_json_output(capsys):

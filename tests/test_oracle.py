@@ -1,7 +1,9 @@
 from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
+import hurwitz.oracle
 from hurwitz import (
     WorkBoundExceeded,
     conj_class_size,
@@ -61,6 +63,77 @@ def test_rejects_bad_input():
 def test_work_bound_refusal():
     with pytest.raises(WorkBoundExceeded):
         count_covers_bruteforce(6, 9, (6,), work_bound=10**6)
+
+
+class _Indexed(Exception):
+    """Raised in place of indexing S_d: the call got past its refusal check."""
+
+
+def test_refusal_rule_and_message(monkeypatch):
+    def no_indexing(*args):
+        raise _Indexed
+
+    monkeypatch.setattr(hurwitz.oracle, "permutations", no_indexing)
+    for bound in (10**3, 10**5):
+        for d in range(1, 9):
+            for mu in partitions_of(d):
+                for r in range(13):
+                    work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
+                    if work > bound:
+                        with pytest.raises(WorkBoundExceeded) as exc:
+                            count_covers_bruteforce(d, r, mu, work_bound=bound)
+                        assert str(exc.value) == (
+                            f"search size {work} exceeds work bound {bound} for d={d}, r={r}, mu={mu}"
+                        )
+                    else:
+                        with pytest.raises(_Indexed):
+                            count_covers_bruteforce(d, r, mu, work_bound=bound)
+    with pytest.raises(WorkBoundExceeded) as exc:
+        count_covers_bruteforce(6, 9, (6,), work_bound=10**6)
+    assert str(exc.value) == "search size 4613203136520 exceeds work bound 1000000 for d=6, r=9, mu=(6,)"
+    with pytest.raises(WorkBoundExceeded):
+        count_covers_bruteforce(12, 0, (1,) * 12)
+
+
+def _counts_per_sigma(d, r, mu):
+    """(all, transitive) tuple counts, searched from every s in the class of mu.
+
+    Walks every r-tuple of transpositions from s by left multiplication and
+    tests transitivity on complete solutions against the orbits of s.
+    """
+    identity = tuple(range(d))
+    trans = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            img = list(identity)
+            img[a], img[b] = b, a
+            trans.append(tuple(img))
+    counts = [0, 0]
+    path = []
+
+    def rec(depth, prod, sigma):
+        if depth == r:
+            if prod == identity:
+                counts[0] += 1
+                counts[1] += is_transitive([sigma, *path], d)
+            return
+        for t in trans:
+            path.append(t)
+            rec(depth + 1, tuple(t[i] for i in prod), sigma)
+            path.pop()
+
+    for sigma in permutations_of_cycle_type(mu):
+        rec(0, sigma, sigma)
+    return Fraction(counts[0], factorial(d)), Fraction(counts[1], factorial(d))
+
+
+@pytest.mark.parametrize("d,r_max", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 3)])
+def test_counts_match_search_from_every_sigma(d, r_max):
+    for mu in partitions_of(d):
+        for r in range(r_max + 1):
+            every, transitive = _counts_per_sigma(d, r, mu)
+            assert count_covers_bruteforce(d, r, mu, connected=False) == every
+            assert count_covers_bruteforce(d, r, mu, connected=True) == transitive
 
 
 def test_tuple_parity_obstruction():
