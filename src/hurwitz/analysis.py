@@ -104,25 +104,26 @@ def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[
 # ---------------------------------------------------------------------------
 # integrality
 
-def integrality_audit(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
-    """Check every value in range is a positive integer outside the named exceptions.
+def integrality_check(g: int, mu: Partition, value: Fraction) -> tuple[str, bool]:
+    """The integrality theorem at one key: (which case applies, whether value obeys it).
 
-    Exceptions: profile (1) vanishes for genus >= 1, and profiles (2), (1,1)
-    equal one half for every genus.
+    Every value is a positive integer, except that profile (1) vanishes for
+    genus >= 1 and profiles (2), (1,1) equal one half for every genus.
     """
+    if mu == (1,) and g >= 1:
+        return "exception-zero", value.numerator == 0
+    if mu in ((2,), (1, 1)):
+        return "exception-half", value.numerator == 1 and value.denominator == 2
+    return "positive-integer", value.denominator == 1 and value.numerator > 0
+
+
+def integrality_audit(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
+    """Check `integrality_check` on every value in range."""
     store = cache if cache is not None else HurwitzCache()
     report = AuditReport(name="integrality", scope=f"r<={r_max}")
     for g, mu in keys_with_ramification_at_most(r_max):
         h = hurwitz_number(g, mu, store)
-        if mu == (1,) and g >= 1:
-            ok = h == 0
-            label = "exception-zero"
-        elif mu in ((2,), (1, 1)):
-            ok = h == Fraction(1, 2)
-            label = "exception-half"
-        else:
-            ok = h.denominator == 1 and h > 0
-            label = "positive-integer"
+        label, ok = integrality_check(g, mu, h)
         report.records.append(AuditRecord(label, g, mu, str(h), ok))
     return report
 

@@ -3,7 +3,7 @@ suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
-or unwritable cache path).
+or unwritable cache path, a cached value the integrality theorem rules out).
 """
 
 from __future__ import annotations
@@ -117,20 +117,16 @@ def cmd_compute(g: int, mu: Partition, method: str, cache: HurwitzCache) -> Outp
 # ---------------------------------------------------------------------------
 # table
 
-def _table_keys(g_max: int, n_max: int) -> list[Partition]:
-    keys = []
-    for n in range(1, n_max + 1):
-        keys.extend(partitions_of(n))
-    return keys
-
-
 def table_values(
     g_max: int, n_max: int, cache: HurwitzCache, weight_exactly: int | None = None
 ) -> list[tuple[Partition, list[str]]]:
     """Rows (profile, values for g = 0..g_max) in table order."""
-    keys = _table_keys(g_max, n_max)
-    if weight_exactly is not None:
-        keys = [mu for mu in keys if sum(mu) == weight_exactly]
+    keys = [
+        mu
+        for n in range(1, n_max + 1)
+        if weight_exactly is None or n == weight_exactly
+        for mu in partitions_of(n)
+    ]
     return [
         (mu, [str(engine.hurwitz_number(g, mu, cache)) for g in range(g_max + 1)])
         for mu in keys
@@ -271,9 +267,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
     except oracle.WorkBoundExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -283,7 +276,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_cache(flag_value: str | None) -> HurwitzCache:
-    return cache_load(resolve_cache_path(flag_value))
+    """Load the cache and refuse any value the integrality theorem rules out."""
+    path = resolve_cache_path(flag_value)
+    cache = cache_load(path)
+    for (g, mu), value in cache.entries.items():
+        _, ok = analysis.integrality_check(g, mu, value)
+        if not ok:
+            raise ValueError(
+                f"{path}: cached value {value} at g={g}, mu=({format_partition(mu)})"
+                " contradicts the integrality theorem"
+            )
+    return cache
 
 
 def _save_cache(cache: HurwitzCache) -> None:
@@ -346,7 +349,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(f"no cache at {path}")
             return 0
         if args.subop == "stats":
-            cache = cache_load(path)
+            cache = _load_cache(args.cache)
             if cache.missing_on_load:
                 print(f"0 entries (no cache at {path})")
             else:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .partitions import (
     Partition,
@@ -101,54 +101,52 @@ class GenSeries:
     def log(self) -> "GenSeries":
         """Series logarithm, requiring constant term exactly 1.
 
-        Uses log(1 + X) = sum_m (-1)^(m+1) X^m / m; every term of X has
-        d + r >= 1, so the sum terminates within the truncation bounds.
+        Uses log(1 + X) = sum_m (-1)^(m+1) X^m / m.
         """
         if self[(0, 0, ())] != 1:
             raise ValueError("log requires constant term 1")
         x = dict(self.coeffs)
         del x[(0, 0, ())]
-        out: dict[SeriesKey, Fraction] = {}
-        power = dict(x)
-        m = 1
-        while power:
-            sign = Fraction((-1) ** (m + 1), m)
-            for key, c in power.items():
-                s = out.get(key, Fraction(0)) + sign * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            if m > self.d_max + self.r_max:
-                break
-            power = _mul_coeffs(power, x, self.d_max, self.r_max)
-            m += 1
         res = GenSeries(self.d_max, self.r_max)
-        res.coeffs = out
+        res.coeffs = _power_sum(x, lambda m: Fraction((-1) ** (m + 1), m), self.d_max, self.r_max)
         return res
 
     def exp(self) -> "GenSeries":
         """Series exponential, requiring constant term exactly 0."""
         if self[(0, 0, ())] != 0:
             raise ValueError("exp requires constant term 0")
-        out: dict[SeriesKey, Fraction] = {(0, 0, ()): Fraction(1)}
-        power: dict[SeriesKey, Fraction] = dict(self.coeffs)
-        m = 1
-        while power:
-            inv = Fraction(1, factorial(m))
-            for key, c in power.items():
-                s = out.get(key, Fraction(0)) + inv * c
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            if m > self.d_max + self.r_max:
-                break
-            power = _mul_coeffs(power, self.coeffs, self.d_max, self.r_max)
-            m += 1
         res = GenSeries(self.d_max, self.r_max)
-        res.coeffs = out
+        terms = _power_sum(self.coeffs, lambda m: Fraction(1, factorial(m)), self.d_max, self.r_max)
+        res.coeffs = {(0, 0, ()): Fraction(1), **terms}
         return res
+
+
+def _power_sum(
+    x: dict[SeriesKey, Fraction],
+    weight: Callable[[int], Fraction],
+    d_max: int,
+    r_max: int,
+) -> dict[SeriesKey, Fraction]:
+    """sum_{m >= 1} weight(m) X^m for X without constant term, truncated to the bounds.
+
+    Every term of X has d + r >= 1, so X^m vanishes once m > d_max + r_max.
+    """
+    out: dict[SeriesKey, Fraction] = {}
+    power = x
+    m = 1
+    while power:
+        w = weight(m)
+        for key, c in power.items():
+            s = out.get(key, Fraction(0)) + w * c
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+        if m > d_max + r_max:
+            break
+        power = _mul_coeffs(power, x, d_max, r_max)
+        m += 1
+    return out
 
 
 def _mul_coeffs(

@@ -8,7 +8,7 @@ positive integers, order irrelevant for every quantity defined here.
 from __future__ import annotations
 
 from collections import Counter
-from math import comb, factorial
+from math import factorial
 from typing import Iterable, Sequence
 
 Partition = tuple[int, ...]
@@ -143,10 +143,3 @@ def ramification(g: int, k: Sequence[int]) -> int:
     if any(p < 1 for p in k):
         raise ValueError(f"profile parts must be positive: {k!r}")
     return 2 * g - 2 + len(k) + sum(k)
-
-
-def binomial(n: int, k: int) -> int:
-    """binom(n, k), zero outside the usual range."""
-    if k < 0 or k > n:
-        return 0
-    return comb(n, k)

@@ -164,6 +164,13 @@ def test_verify_with_oracle_builds_one_charsum_series(capsys, monkeypatch):
     assert calls == [(4, 3)]
 
 
+def test_verify_checks_every_printed_table_cell(capsys):
+    # identity_suite(6, 6): 54 identity checks, 202 printed cells and the erratum cell
+    code, out, _ = run(capsys, "verify", "--rmax", "6")
+    assert code == 0
+    assert "PASS identities: 257 checks, 0 failures" in out
+
+
 def test_parity_command(capsys):
     code, out, _ = run(capsys, "parity", "--rmax", "8")
     assert code == 0
@@ -282,3 +289,33 @@ def test_compute_persists_cache_across_invocations(capsys, isolated_cache):
     size_first = os.path.getsize(isolated_cache)
     run(capsys, "compute", "2", "2,1", "--method", "cj")
     assert os.path.getsize(isolated_cache) == size_first
+
+
+def _write_cache(path, entries):
+    with open(path, "w", encoding="ascii") as fh:
+        for g, mu, num, den in entries:
+            fh.write(json.dumps({"g": g, "mu": mu, "num": str(num), "den": str(den)}) + "\n")
+
+
+@pytest.mark.parametrize("argv", [("compute", "0", "2"), ("cache", "stats")])
+@pytest.mark.parametrize(
+    "g, mu, num, den",
+    [(0, [2], 1, 3), (0, [3], 1, 2), (2, [1], 1, 1), (0, [2, 1], -4, 1), (1, [3], 0, 1)],
+)
+def test_cache_value_that_breaks_the_theorem_exits_2(capsys, isolated_cache, argv, g, mu, num, den):
+    _write_cache(isolated_cache, [(g, mu, num, den)])
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {isolated_cache}: ") and "Traceback" not in err
+    assert f"g={g}, mu=({','.join(map(str, mu))})" in err
+
+
+def test_cache_keeps_the_theorems_exceptions(capsys, isolated_cache):
+    _write_cache(
+        isolated_cache,
+        [(0, [1], 1, 1), (2, [1], 0, 1), (0, [2], 1, 2), (3, [1, 1], 1, 2), (0, [3], 1, 1)],
+    )
+    code, out, _ = run(capsys, "cache", "stats")
+    assert code == 0 and out.startswith("5 entries")
+    code, out, _ = run(capsys, "compute", "0", "3")
+    assert code == 0 and "= 1" in out
