@@ -97,7 +97,16 @@ def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[
             while base + 2 * g <= r_max:
                 out.append((g, mu))
                 g += 1
-    out.sort(key=lambda key: (ramification(*key), key[0], sum(key[1]), tuple(-p for p in key[1])))
+    # 2g + len(mu) + |mu| is the branch count plus 2: the same order, without
+    # validating each key again.
+    out.sort(
+        key=lambda key: (
+            2 * key[0] + len(key[1]) + sum(key[1]),
+            key[0],
+            sum(key[1]),
+            tuple(-p for p in key[1]),
+        )
+    )
     return out
 
 
@@ -172,11 +181,6 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
 # ---------------------------------------------------------------------------
 # parity
 
-def _parity_candidate(g: int, mu: Partition) -> bool:
-    r = ramification(g, mu)
-    return r % 2 == 0 and all(p % 2 == 1 for p in mu) and len(mu) <= 2
-
-
 def parity_scan(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
     """Scan all keys with weight >= 3 in range for the parity implication.
 
@@ -191,9 +195,9 @@ def parity_scan(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
     converse: dict[int, set[tuple[int, Partition]]] = {}
     for g, mu in keys_with_ramification_at_most(r_max, min_size=3):
         h = hurwitz_number(g, mu, store)
-        r = ramification(g, mu)
+        r = 2 * g - 2 + len(mu) + sum(mu)
         is_odd = h.denominator == 1 and h.numerator % 2 == 1
-        candidate = _parity_candidate(g, mu)
+        candidate = r % 2 == 0 and len(mu) <= 2 and all(p % 2 == 1 for p in mu)
         if is_odd:
             odd_keys.append((g, mu))
             report.records.append(

@@ -3,7 +3,8 @@ suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
-or unwritable cache path, a cached value the integrality theorem rules out).
+or unwritable cache path, a cached value the integrality theorem rules out),
+141 when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .partitions import Partition, partitions_of, ramification, sort_to_partitio
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
+CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 
 class UsageError(ValueError):
@@ -266,7 +268,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
+        status = _dispatch(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed stdout (`hurwitz table ... | head -1`): end quietly
+        # with the status of a process killed by SIGPIPE.  Stdout now points at
+        # the null device, so the interpreter's final flush cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
     except oracle.WorkBoundExceeded as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -290,6 +302,9 @@ def _load_cache(flag_value: str | None) -> HurwitzCache:
 
 
 def _save_cache(cache: HurwitzCache) -> None:
+    # Deliver the output first: if the reader has gone, the BrokenPipeError
+    # ends the run before the save, as SIGPIPE would.
+    sys.stdout.flush()
     if cache.dirty:
         cache.save()
 

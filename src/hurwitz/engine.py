@@ -353,10 +353,13 @@ class HurwitzCache:
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        lines = []
-        for (g, mu), value in sorted(self.entries.items(), key=lambda it: _cache_sort_key(it)):
-            rec = {"g": g, "mu": list(mu), "num": str(value.numerator), "den": str(value.denominator)}
-            lines.append(json.dumps(rec, separators=(",", ":")))
+        # Each line is json.dumps({"g", "mu", "num", "den"}, separators=(",", ":")),
+        # written out directly: every field is an int or a string of digits.
+        lines = [
+            f'{{"g":{g},"mu":[{",".join(map(str, mu))}],'
+            f'"num":"{value.numerator}","den":"{value.denominator}"}}'
+            for (g, mu), value in sorted(self.entries.items(), key=_cache_sort_key)
+        ]
         # Write a sibling file and rename it over the target, so a crash or a
         # failed write leaves the old cache whole.  The name is unique per
         # thread of each process, so concurrent saves never share it.
@@ -406,6 +409,12 @@ def cache_load(path: str) -> HurwitzCache:
 # ---------------------------------------------------------------------------
 # cut-and-join recursion
 
+# One collapsed right-hand-side term: (label, twice the coefficient, children,
+# the branch-point binomial of a split or None).  Every coefficient is a
+# multiple of 1/2, so twice it is an int.
+LedgerTerm = tuple[str, int, tuple[tuple[int, Partition], ...], int | None]
+
+
 @dataclass(frozen=True)
 class CoefficientTerm:
     """One collapsed right-hand-side term of the recursion for a fixed key."""
@@ -431,20 +440,31 @@ def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
     central binomial, hence even).
     """
     lam = sort_to_partition(k)
-    r = ramification(g, lam)
+    ramification(g, lam)  # validates g and lam
+    return [
+        CoefficientTerm(label, Fraction(twice, 2), children, binomial)
+        for label, twice, children, binomial in _ledger(g, lam)
+    ]
+
+
+def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
+    """The terms of `coefficient_terms` at a valid key, with twice-coefficients."""
+    r = 2 * g - 2 + len(lam) + sum(lam)
     m = multiplicities(lam)
     values = sorted(m, reverse=True)
-    terms: list[CoefficientTerm] = []
+    terms: list[LedgerTerm] = []
 
     # merges
     for ai, a in enumerate(values):
         for b in values[ai:]:
-            if a == b and m[a] < 2:
-                continue
-            merged = _replace(lam, (a, b), (a + b,))
-            coeff = Fraction((m[a + b] + 1) * a) if a == b else Fraction((m[a + b] + 1) * (a + b))
-            label = "merge-equal" if a == b else "merge-distinct"
-            terms.append(CoefficientTerm(label, coeff, ((g, merged),)))
+            if a == b:
+                if m[a] < 2:
+                    continue
+                merged = _replace(lam, (a, a), (2 * a,))
+                terms.append(("merge-equal", 2 * (m[2 * a] + 1) * a, ((g, merged),), None))
+            else:
+                merged = _replace(lam, (a, b), (a + b,))
+                terms.append(("merge-distinct", 2 * (m[a + b] + 1) * (a + b), ((g, merged),), None))
 
     # genus-drop cuts
     if g >= 1:
@@ -453,12 +473,11 @@ def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
                 beta = a - alpha
                 prof = _replace(lam, (a,), (alpha, beta))
                 if alpha == beta:
-                    coeff = Fraction(alpha * alpha, 2) * (m[alpha] + 1) * (m[alpha] + 2)
-                    label = "cut-genus-equal"
+                    twice = alpha * alpha * (m[alpha] + 1) * (m[alpha] + 2)
+                    terms.append(("cut-genus-equal", twice, ((g - 1, prof),), None))
                 else:
-                    coeff = Fraction(alpha * beta * (m[alpha] + 1) * (m[beta] + 1))
-                    label = "cut-genus-distinct"
-                terms.append(CoefficientTerm(label, coeff, ((g - 1, prof),)))
+                    twice = 2 * alpha * beta * (m[alpha] + 1) * (m[beta] + 1)
+                    terms.append(("cut-genus-distinct", twice, ((g - 1, prof),), None))
 
     # disconnecting cuts: one side takes sub-multiset l of the remaining
     # parts plus alpha, the other the complement plus beta; the swap of the
@@ -467,32 +486,26 @@ def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
         rest = _replace(lam, (a,), ())
         for l_multiset in _submultisets(rest):
             n_multiset = _multiset_difference(rest, l_multiset)
+            # the branch count of (g1, l + alpha) is 2 g1 + r1_base + alpha
+            r1_base = len(l_multiset) - 1 + sum(l_multiset)
             for alpha in range(1, a):
                 beta = a - alpha
                 lp = tuple(sorted(l_multiset + (alpha,), reverse=True))
                 np_ = tuple(sorted(n_multiset + (beta,), reverse=True))
+                m_l = l_multiset.count(alpha)
+                m_n = n_multiset.count(beta)
                 for g1 in range(g + 1):
                     g2 = g - g1
                     side = (g1, alpha, l_multiset)
                     mirror = (g2, beta, n_multiset)
                     if side > mirror:
                         continue  # counted from the mirror enumeration
-                    eps = 1 if side == mirror else 2
-                    r1 = ramification(g1, lp)
-                    binomial = comb(r - 1, r1)
-                    m_l = sum(1 for x in l_multiset if x == alpha)
-                    m_n = sum(1 for x in n_multiset if x == beta)
-                    coeff = (
-                        eps
-                        * (m_l + 1)
-                        * (m_n + 1)
-                        * Fraction(alpha * beta, 2)
-                        * binomial
-                    )
-                    label = "split-symmetric" if eps == 1 else "split"
-                    terms.append(
-                        CoefficientTerm(label, coeff, ((g1, lp), (g2, np_)), binomial)
-                    )
+                    binomial = comb(r - 1, 2 * g1 + r1_base + alpha)
+                    twice = (m_l + 1) * (m_n + 1) * alpha * beta * binomial
+                    if side == mirror:
+                        terms.append(("split-symmetric", twice, ((g1, lp), (g2, np_)), binomial))
+                    else:
+                        terms.append(("split", 2 * twice, ((g1, lp), (g2, np_)), binomial))
     return terms
 
 
@@ -518,43 +531,73 @@ def _multiset_difference(whole: tuple[int, ...], part: tuple[int, ...]) -> tuple
     return tuple(sorted(remaining, reverse=True))
 
 
+def _twice_value(key: tuple[int, Partition], value: Fraction) -> int:
+    """2 * value as an int; refuses a value that is not a multiple of 1/2."""
+    if value.denominator == 1:
+        return 2 * value.numerator
+    if value.denominator == 2:
+        return value.numerator
+    g, mu = key
+    raise ValueError(f"value {value} at g={g}, mu={mu} is not a multiple of 1/2")
+
+
 def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None) -> Fraction:
     """Connected Hurwitz number by the memoized cut-and-join recursion.
 
     Accepts any multi-index for mu; the value depends only on the underlying
-    partition.  The ledger of `coefficient_terms` is evaluated with an
-    explicit stack, children before parents, so no Python recursion limit
-    applies.  Every child has a strictly smaller branch count, so evaluation
-    ends at the single count-zero key (0, (1)), the trivial covering.
+    partition.  The ledger is evaluated with an explicit stack, children
+    before parents, so no Python recursion limit applies.  Every child has a
+    strictly smaller branch count, so evaluation ends at the single
+    count-zero key (0, (1)), the trivial covering.
+
+    The sum runs on integers: each child's value is read as 2h (a cached
+    child that is not a multiple of 1/2 raises ValueError), and each key's
+    8h = sum of 2 * twice * (2 h1) over one-child terms plus twice * (2 h1)
+    * (2 h2) over two-child terms must be divisible by 4, or ArithmeticError
+    is raised: every evaluation checks that the value is again a multiple of
+    1/2.
     """
     lam = sort_to_partition(mu)
     ramification(g, lam)  # validates g and lam
     store = cache if cache is not None else HurwitzCache()
     known = store.entries
+    if (g, lam) in known:
+        return known[(g, lam)]
+    twice_h: dict[tuple[int, Partition], int] = {}  # 2h of every value this call reads
     # (key, its terms once built); a key is expanded on its first visit and
-    # summed on its second, when every child above it has been inserted.
-    stack: list[tuple[tuple[int, Partition], list[CoefficientTerm] | None]] = [((g, lam), None)]
+    # summed on its second, when every child above it has a value.
+    stack: list[tuple[tuple[int, Partition], list[LedgerTerm] | None]] = [((g, lam), None)]
     while stack:
         key, terms = stack.pop()
-        if key in known:
+        if key in twice_h:
+            continue
+        value = known.get(key)
+        if value is not None:
+            twice_h[key] = _twice_value(key, value)
             continue
         if key == (0, (1,)):
             store.insert(0, (1,), Fraction(1))
+            twice_h[key] = 2
             continue
         if terms is None:
-            terms = coefficient_terms(*key)
-            missing = [child for term in terms for child in term.children if child not in known]
+            terms = _ledger(*key)
+            missing = [child for term in terms for child in term[2] if child not in twice_h]
             if missing:
                 stack.append((key, terms))
                 stack.extend((child, None) for child in missing)
                 continue
-        total = Fraction(0)
-        for term in terms:
-            value = term.coefficient
-            for child in term.children:
-                value *= known[child]
-            total += value
-        store.insert(*key, total)
+        eight_h = 0
+        for _, twice, children, _ in terms:
+            if len(children) == 1:
+                eight_h += 2 * twice * twice_h[children[0]]
+            else:
+                eight_h += twice * twice_h[children[0]] * twice_h[children[1]]
+        if eight_h % 4:
+            raise ArithmeticError(
+                f"cut-and-join sum at g={key[0]}, mu={key[1]} is not a multiple of 1/2: 8h = {eight_h}"
+            )
+        twice_h[key] = eight_h // 4
+        store.insert(*key, Fraction(eight_h // 4, 2))
     return known[(g, lam)]
 
 

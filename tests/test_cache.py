@@ -116,6 +116,29 @@ def test_file_format_fields(tmp_path):
     assert rec == {"g": 0, "mu": [2], "num": "1", "den": "2"}
 
 
+def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    cache = HurwitzCache()
+    cache.insert(0, (2,), Fraction(1, 2))
+    cache.insert(3, (1,), Fraction(0))
+    cache.insert(6, (4, 3, 3, 1), Fraction(10**29 + 7))
+    cache.insert(1, (2, 2), Fraction(-(10**29) - 1, 3))
+    cache.save(path)
+    expected = [
+        json.dumps(
+            {"g": g, "mu": list(mu), "num": str(v.numerator), "den": str(v.denominator)},
+            separators=(",", ":"),
+        )
+        for g, mu, v in [
+            (0, (2,), Fraction(1, 2)),
+            (1, (2, 2), Fraction(-(10**29) - 1, 3)),
+            (3, (1,), Fraction(0)),
+            (6, (4, 3, 3, 1), Fraction(10**29 + 7)),
+        ]
+    ]
+    assert open(path, encoding="ascii").read().splitlines() == expected
+
+
 def test_sort_order_is_by_branch_count_then_genus(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = HurwitzCache()

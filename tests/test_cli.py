@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import hurwitz
 from hurwitz.cli import (
     UsageError,
     default_cache_path,
@@ -319,3 +322,25 @@ def test_cache_keeps_the_theorems_exceptions(capsys, isolated_cache):
     assert code == 0 and out.startswith("5 entries")
     code, out, _ = run(capsys, "compute", "0", "3")
     assert code == 0 and "= 1" in out
+
+
+def test_closed_stdout_exits_141_quietly_without_saving(tmp_path):
+    # The CSV table is about 280 kB, far more than a pipe buffer holds, so the
+    # CLI is still writing when the reader closes its end after one line.
+    cache = tmp_path / "cache.jsonl"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hurwitz.__file__)))
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-c", "from hurwitz.cli import main; raise SystemExit(main())",
+            "table", "--gmax", "40", "--nmax", "9", "--format", "csv", "--cache", str(cache),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"g,mu,value\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert proc.returncode == 141
+    assert err == b""
+    assert not cache.exists()

@@ -92,6 +92,49 @@ def test_recursion_termination_metric():
             assert all(ramification(cg, cmu) < r for cg, cmu in term.children), (g, mu, term)
 
 
+def _fraction_evaluation(r_max):
+    """Reference values: the ledger summed in Fraction arithmetic, by branch count."""
+    values = {(0, (1,)): Fraction(1)}
+    for g, mu in keys_with_ramification_at_most(r_max):
+        if (g, mu) == (0, (1,)):
+            continue
+        total = Fraction(0)
+        for term in coefficient_terms(g, mu):
+            product = term.coefficient
+            for child in term.children:
+                product *= values[child]
+            total += product
+        values[(g, mu)] = total
+    return values
+
+
+def test_integer_kernel_matches_a_fraction_evaluation_of_the_ledger():
+    cache = engine.HurwitzCache()
+    for (g, mu), value in _fraction_evaluation(14).items():
+        assert hurwitz_number(g, mu, cache) == value, (g, mu)
+
+
+def test_every_coefficient_is_a_multiple_of_one_half():
+    for g, mu in keys_with_ramification_at_most(12):
+        for term in coefficient_terms(g, mu):
+            assert (2 * term.coefficient).denominator == 1, (g, mu, term)
+
+
+def test_cached_child_that_is_not_a_multiple_of_one_half_is_refused():
+    cache = engine.HurwitzCache()
+    cache.insert(0, (2,), Fraction(1, 3))
+    with pytest.raises(ValueError, match=r"1/3 at g=0, mu=\(2,\)"):
+        hurwitz_number(0, (3,), cache)
+
+
+def test_inexact_division_at_a_key_raises():
+    # 8h at (0, (2)) is twice * (2 h(0,(1)))^2 = 1 * 3 * 3, not divisible by 4
+    cache = engine.HurwitzCache()
+    cache.insert(0, (1,), Fraction(3, 2))
+    with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2,\)"):
+        hurwitz_number(0, (2,), cache)
+
+
 def test_recursion_inserts_exactly_the_reachable_keys():
     cache = engine.HurwitzCache()
     hurwitz_number(2, (3, 2), cache)
