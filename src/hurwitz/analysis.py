@@ -87,26 +87,18 @@ def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[
     Deterministic order: by branch count, then genus, then weight, then
     reverse-lexicographic profile.
     """
-    out = []
-    for n in range(max(min_size, 1), r_max + 2):
+    sizes = range(max(min_size, 1), r_max + 2)
+    # (weight, length) -> profiles in reverse-lexicographic order; at a fixed
+    # branch count and genus, the weight fixes the length.
+    by_shape: dict[tuple[int, int], list[Partition]] = {}
+    for n in sizes:
         for mu in partitions_of(n):
-            base = len(mu) + n - 2
-            if base > r_max:
-                continue
-            g = 0
-            while base + 2 * g <= r_max:
-                out.append((g, mu))
-                g += 1
-    # 2g + len(mu) + |mu| is the branch count plus 2: the same order, without
-    # validating each key again.
-    out.sort(
-        key=lambda key: (
-            2 * key[0] + len(key[1]) + sum(key[1]),
-            key[0],
-            sum(key[1]),
-            tuple(-p for p in key[1]),
-        )
-    )
+            by_shape.setdefault((n, len(mu)), []).append(mu)
+    out = []
+    for r in range(r_max + 1):
+        for g in range(r // 2 + 1):
+            for n in sizes:
+                out.extend((g, mu) for mu in by_shape.get((n, r - 2 * g + 2 - n), ()))
     return out
 
 

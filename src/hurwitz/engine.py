@@ -321,6 +321,9 @@ class HurwitzCache:
     path: str | None = None
     dirty: bool = False
     missing_on_load: bool = False
+    # 2 * value of every entry `hurwitz_number` has computed or read; entries
+    # are never changed once inserted, so a stored 2h cannot go stale.
+    _twice: dict[tuple[int, Partition], int] = field(default_factory=dict, repr=False, compare=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def get(self, g: int, mu: Partition) -> Fraction | None:
@@ -380,11 +383,16 @@ class HurwitzCache:
 
 
 def cache_load(path: str) -> HurwitzCache:
-    """Load a cache file; a missing file yields an empty cache with a warning flag."""
+    """Load a cache file; a missing file yields an empty cache with a warning flag.
+
+    Each line is validated once and stored directly: a key that repeats with
+    a different value raises CacheConflictError, as `insert` would.
+    """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
         cache.missing_on_load = True
         return cache
+    entries = cache.entries
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -393,16 +401,16 @@ def cache_load(path: str) -> HurwitzCache:
             try:
                 rec = json.loads(line)
                 g = int(rec["g"])
-                mu = as_partition(int(p) for p in rec["mu"])
+                mu = as_partition(map(int, rec["mu"]))
                 num, den = int(rec["num"]), int(rec["den"])
                 if den <= 0:
                     raise ValueError("denominator must be positive")
-            except CacheConflictError:
-                raise
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
-            cache.insert(g, mu, Fraction(num, den))
-    cache.dirty = False
+            value = Fraction(num, den)
+            old = entries.setdefault((g, mu), value)
+            if old != value:
+                raise CacheConflictError(f"cache conflict at g={g}, mu={mu}: {old} != {value}")
     return cache
 
 
@@ -480,32 +488,31 @@ def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
                     terms.append(("cut-genus-distinct", twice, ((g - 1, prof),), None))
 
     # disconnecting cuts: one side takes sub-multiset l of the remaining
-    # parts plus alpha, the other the complement plus beta; the swap of the
-    # two sides is collapsed into eps.
+    # parts plus alpha, the other the complement n plus beta; the swap of the
+    # two sides is collapsed into eps.  A side (g1, alpha, l) is kept when it
+    # does not exceed its mirror (g - g1, beta, n): always for g1 < g/2, never
+    # for g1 > g/2, and by comparing (alpha, l) with (beta, n) at g1 = g/2.
+    binomials = [comb(r - 1, k) for k in range(r)]
     for a in values:
         rest = _replace(lam, (a,), ())
-        for l_multiset in _submultisets(rest):
-            n_multiset = _multiset_difference(rest, l_multiset)
+        for l_multiset, n_multiset in _complementary_pairs(rest):
             # the branch count of (g1, l + alpha) is 2 g1 + r1_base + alpha
             r1_base = len(l_multiset) - 1 + sum(l_multiset)
             for alpha in range(1, a):
                 beta = a - alpha
                 lp = tuple(sorted(l_multiset + (alpha,), reverse=True))
                 np_ = tuple(sorted(n_multiset + (beta,), reverse=True))
-                m_l = l_multiset.count(alpha)
-                m_n = n_multiset.count(beta)
-                for g1 in range(g + 1):
-                    g2 = g - g1
-                    side = (g1, alpha, l_multiset)
-                    mirror = (g2, beta, n_multiset)
-                    if side > mirror:
-                        continue  # counted from the mirror enumeration
-                    binomial = comb(r - 1, 2 * g1 + r1_base + alpha)
-                    twice = (m_l + 1) * (m_n + 1) * alpha * beta * binomial
-                    if side == mirror:
-                        terms.append(("split-symmetric", twice, ((g1, lp), (g2, np_)), binomial))
+                weight = (l_multiset.count(alpha) + 1) * (n_multiset.count(beta) + 1) * alpha * beta
+                for g1 in range((g + 1) // 2):
+                    binomial = binomials[2 * g1 + r1_base + alpha]
+                    terms.append(("split", 2 * weight * binomial, ((g1, lp), (g - g1, np_)), binomial))
+                if g % 2 == 0 and (alpha, l_multiset) <= (beta, n_multiset):
+                    binomial = binomials[g + r1_base + alpha]  # g1 = g2 = g/2
+                    children = ((g // 2, lp), (g // 2, np_))
+                    if (alpha, l_multiset) == (beta, n_multiset):
+                        terms.append(("split-symmetric", weight * binomial, children, binomial))
                     else:
-                        terms.append(("split", 2 * twice, ((g1, lp), (g2, np_)), binomial))
+                        terms.append(("split", 2 * weight * binomial, children, binomial))
     return terms
 
 
@@ -516,19 +523,20 @@ def _replace(lam: Partition, remove: tuple[int, ...], add: tuple[int, ...]) -> P
     return tuple(sorted(parts + list(add), reverse=True))
 
 
-def _submultisets(parts: Partition) -> list[tuple[int, ...]]:
-    """All sub-multisets, each listed once, in deterministic order."""
-    out = [()]
+def _complementary_pairs(parts: Partition) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every sub-multiset of parts, once each, paired with its complement.
+
+    Both are descending tuples; the sub-multisets come in a fixed order, by
+    how many copies they take of each value, largest value first.
+    """
+    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
     for v, mult in sorted(multiplicities(parts).items(), reverse=True):
-        out = [prev + (v,) * take for prev in out for take in range(mult + 1)]
-    return [tuple(sorted(s, reverse=True)) for s in out]
-
-
-def _multiset_difference(whole: tuple[int, ...], part: tuple[int, ...]) -> tuple[int, ...]:
-    remaining = list(whole)
-    for x in part:
-        remaining.remove(x)
-    return tuple(sorted(remaining, reverse=True))
+        pairs = [
+            (sub + (v,) * take, co + (v,) * (mult - take))
+            for sub, co in pairs
+            for take in range(mult + 1)
+        ]
+    return pairs
 
 
 def _twice_value(key: tuple[int, Partition], value: Fraction) -> int:
@@ -550,8 +558,9 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
     strictly smaller branch count, so evaluation ends at the single
     count-zero key (0, (1)), the trivial covering.
 
-    The sum runs on integers: each child's value is read as 2h (a cached
-    child that is not a multiple of 1/2 raises ValueError), and each key's
+    The sum runs on integers: each child's value is read as 2h once per
+    cache (a cached child that is not a multiple of 1/2 raises ValueError,
+    on every call, since a refused value is never stored as 2h), and each key's
     8h = sum of 2 * twice * (2 h1) over one-child terms plus twice * (2 h1)
     * (2 h2) over two-child terms must be divisible by 4, or ArithmeticError
     is raised: every evaluation checks that the value is again a multiple of
@@ -563,41 +572,41 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
     known = store.entries
     if (g, lam) in known:
         return known[(g, lam)]
-    twice_h: dict[tuple[int, Partition], int] = {}  # 2h of every value this call reads
-    # (key, its terms once built); a key is expanded on its first visit and
-    # summed on its second, when every child above it has a value.
+    twice_h = store._twice
+    # (key, its terms once built); a key is summed as soon as every child has
+    # a 2h, and otherwise pushed back beneath its missing children.
     stack: list[tuple[tuple[int, Partition], list[LedgerTerm] | None]] = [((g, lam), None)]
     while stack:
         key, terms = stack.pop()
         if key in twice_h:
             continue
-        value = known.get(key)
-        if value is not None:
-            twice_h[key] = _twice_value(key, value)
-            continue
-        if key == (0, (1,)):
-            store.insert(0, (1,), Fraction(1))
-            twice_h[key] = 2
-            continue
         if terms is None:
-            terms = _ledger(*key)
-            missing = [child for term in terms for child in term[2] if child not in twice_h]
-            if missing:
-                stack.append((key, terms))
-                stack.extend((child, None) for child in missing)
+            value = known.get(key)
+            if value is not None:
+                twice_h[key] = _twice_value(key, value)
                 continue
+            if key == (0, (1,)):
+                store.insert(0, (1,), Fraction(1))
+                twice_h[key] = 2
+                continue
+            terms = _ledger(*key)
         eight_h = 0
-        for _, twice, children, _ in terms:
-            if len(children) == 1:
-                eight_h += 2 * twice * twice_h[children[0]]
-            else:
-                eight_h += twice * twice_h[children[0]] * twice_h[children[1]]
+        try:
+            for _, twice, children, _ in terms:
+                if len(children) == 1:
+                    eight_h += 2 * twice * twice_h[children[0]]
+                else:
+                    eight_h += twice * twice_h[children[0]] * twice_h[children[1]]
+        except KeyError:
+            stack.append((key, terms))
+            stack.extend((child, None) for term in terms for child in term[2] if child not in twice_h)
+            continue
         if eight_h % 4:
             raise ArithmeticError(
                 f"cut-and-join sum at g={key[0]}, mu={key[1]} is not a multiple of 1/2: 8h = {eight_h}"
             )
-        twice_h[key] = eight_h // 4
         store.insert(*key, Fraction(eight_h // 4, 2))
+        twice_h[key] = eight_h // 4
     return known[(g, lam)]
 
 

@@ -46,16 +46,25 @@ def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be non-negative")
     cap = n if max_part is None else max_part
+    # (rem, largest part allowed) -> its partitions; shared by every prefix
+    # that leaves the same remainder under the same cap.
+    memo: dict[tuple[int, int], list[Partition]] = {}
 
-    def gen(rem: int, largest: int):
+    def build(rem: int, largest: int) -> list[Partition]:
         if rem == 0:
-            yield ()
-            return
-        for first in range(min(rem, largest), 0, -1):
-            for rest in gen(rem - first, first):
-                yield (first, *rest)
+            return [()]
+        largest = min(rem, largest)
+        out = memo.get((rem, largest))
+        if out is None:
+            out = [
+                (first, *rest)
+                for first in range(largest, 0, -1)
+                for rest in build(rem - first, first)
+            ]
+            memo[(rem, largest)] = out
+        return out
 
-    return list(gen(n, cap))
+    return build(n, cap)
 
 
 def multiplicities(lam: Sequence[int]) -> Counter:

@@ -8,6 +8,7 @@ from hurwitz import (
     integrality_audit,
     keys_with_ramification_at_most,
     parity_scan,
+    partitions_of,
     ramification,
 )
 from hurwitz.reference_data import PUBLISHED_CONVERSE_FAILURES
@@ -23,6 +24,24 @@ def test_key_enumeration():
     assert rs == sorted(rs)
     # nothing in range is missed
     assert (0, (3, 1)) in keys and (2, (1,)) in keys and (1, (2,)) in keys
+
+
+def test_key_enumeration_matches_a_sorted_reference():
+    # every key with branch count <= 23, sorted by (branch count, genus,
+    # weight, reverse-lex profile); a filter of a sorted list stays sorted
+    reference = sorted(
+        (
+            (ramification(g, mu), g, sum(mu), tuple(-p for p in mu), mu)
+            for n in range(1, 25)
+            for mu in partitions_of(n)
+            for g in range(12)
+            if ramification(g, mu) <= 23
+        )
+    )
+    for r_max in range(-1, 24):
+        for min_size in range(1, 6):
+            expected = [(g, mu) for r, g, n, _, mu in reference if r <= r_max and n >= min_size]
+            assert keys_with_ramification_at_most(r_max, min_size) == expected, (r_max, min_size)
 
 
 def test_integrality_audit_smallest_ranges(shared_cache):

@@ -69,6 +69,24 @@ def test_load_rejects_nonpositive_denominator(tmp_path):
         cache_load(str(path))
 
 
+def test_load_repeated_key_with_a_different_value_is_a_conflict(tmp_path):
+    path = tmp_path / "twice.jsonl"
+    path.write_text(
+        '{"g":0,"mu":[3],"num":"1","den":"1"}\n'
+        '{"g":0,"mu":[3],"num":"1","den":"1"}\n'
+        '{"g":0,"mu":[3],"num":"2","den":"1"}\n'
+    )
+    with pytest.raises(CacheConflictError, match=r"g=0, mu=\(3,\): 1 != 2"):
+        cache_load(str(path))
+
+
+def test_load_rejects_a_profile_that_is_not_a_partition(tmp_path):
+    path = tmp_path / "bad.jsonl"
+    path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n{"g":0,"mu":[1,2],"num":"1","den":"1"}\n')
+    with pytest.raises(ValueError, match=f"{path}:2: malformed cache line"):
+        cache_load(str(path))
+
+
 def test_merge_conflict_is_fatal():
     a = HurwitzCache()
     a.insert(1, (3,), Fraction(9))

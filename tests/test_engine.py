@@ -1,5 +1,7 @@
+from collections import Counter
+from dataclasses import astuple
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,8 +125,9 @@ def test_every_coefficient_is_a_multiple_of_one_half():
 def test_cached_child_that_is_not_a_multiple_of_one_half_is_refused():
     cache = engine.HurwitzCache()
     cache.insert(0, (2,), Fraction(1, 3))
-    with pytest.raises(ValueError, match=r"1/3 at g=0, mu=\(2,\)"):
-        hurwitz_number(0, (3,), cache)
+    for _ in range(2):  # a refused value is never kept, so the next call refuses it too
+        with pytest.raises(ValueError, match=r"1/3 at g=0, mu=\(2,\)"):
+            hurwitz_number(0, (3,), cache)
 
 
 def test_inexact_division_at_a_key_raises():
@@ -133,6 +136,79 @@ def test_inexact_division_at_a_key_raises():
     cache.insert(0, (1,), Fraction(3, 2))
     with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2,\)"):
         hurwitz_number(0, (2,), cache)
+
+
+def _reference_ledger(g, lam):
+    """The collapsed ledger built the plain way: every g1 with a mirror skip,
+    sub-multisets by repeated extension, complements by list.remove."""
+
+    def replace(parts, remove, add):
+        parts = list(parts)
+        for x in remove:
+            parts.remove(x)
+        return tuple(sorted(parts + list(add), reverse=True))
+
+    def submultisets(parts):
+        out = [()]
+        for v, mult in sorted(Counter(parts).items(), reverse=True):
+            out = [prev + (v,) * take for prev in out for take in range(mult + 1)]
+        return [tuple(sorted(s, reverse=True)) for s in out]
+
+    def difference(whole, part):
+        remaining = list(whole)
+        for x in part:
+            remaining.remove(x)
+        return tuple(sorted(remaining, reverse=True))
+
+    r = ramification(g, lam)
+    m = Counter(lam)
+    values = sorted(m, reverse=True)
+    terms = []
+    for ai, a in enumerate(values):
+        for b in values[ai:]:
+            if a == b:
+                if m[a] >= 2:
+                    merged = replace(lam, (a, a), (2 * a,))
+                    terms.append(("merge-equal", Fraction((m[2 * a] + 1) * a), ((g, merged),), None))
+            else:
+                merged = replace(lam, (a, b), (a + b,))
+                terms.append(("merge-distinct", Fraction((m[a + b] + 1) * (a + b)), ((g, merged),), None))
+    if g >= 1:
+        for a in values:
+            for alpha in range(1, a // 2 + 1):
+                beta = a - alpha
+                prof = replace(lam, (a,), (alpha, beta))
+                if alpha == beta:
+                    c = Fraction(alpha * alpha * (m[alpha] + 1) * (m[alpha] + 2), 2)
+                    terms.append(("cut-genus-equal", c, ((g - 1, prof),), None))
+                else:
+                    c = Fraction(alpha * beta * (m[alpha] + 1) * (m[beta] + 1))
+                    terms.append(("cut-genus-distinct", c, ((g - 1, prof),), None))
+    for a in values:
+        rest = replace(lam, (a,), ())
+        for sub in submultisets(rest):
+            co = difference(rest, sub)
+            for alpha in range(1, a):
+                beta = a - alpha
+                lp = tuple(sorted(sub + (alpha,), reverse=True))
+                np_ = tuple(sorted(co + (beta,), reverse=True))
+                for g1 in range(g + 1):
+                    side, mirror = (g1, alpha, sub), (g - g1, beta, co)
+                    if side > mirror:
+                        continue
+                    binomial = comb(r - 1, ramification(g1, lp))
+                    c = Fraction((sub.count(alpha) + 1) * (co.count(beta) + 1) * alpha * beta * binomial, 2)
+                    children = ((g1, lp), (g - g1, np_))
+                    if side == mirror:
+                        terms.append(("split-symmetric", c, children, binomial))
+                    else:
+                        terms.append(("split", 2 * c, children, binomial))
+    return terms
+
+
+def test_ledger_matches_a_reference_built_the_plain_way():
+    for g, mu in keys_with_ramification_at_most(12):
+        assert [astuple(t) for t in coefficient_terms(g, mu)] == _reference_ledger(g, mu), (g, mu)
 
 
 def test_recursion_inserts_exactly_the_reachable_keys():

@@ -60,6 +60,27 @@ def test_partitions_of_reverse_lex_order():
         assert listing == sorted(listing, key=lambda mu: tuple(-p for p in mu))
 
 
+def _reference_partitions(n, max_part=None):
+    """Reverse-lexicographic partitions of n by nested generators."""
+
+    def gen(rem, largest):
+        if rem == 0:
+            yield ()
+            return
+        for first in range(min(rem, largest), 0, -1):
+            for rest in gen(rem - first, first):
+                yield (first, *rest)
+
+    return list(gen(n, n if max_part is None else max_part))
+
+
+def test_partitions_of_matches_the_generator_reference():
+    for n in range(23):
+        assert partitions_of(n) == _reference_partitions(n)
+        for max_part in range(-1, n + 2):
+            assert partitions_of(n, max_part) == _reference_partitions(n, max_part), (n, max_part)
+
+
 def test_validation():
     assert is_partition((3, 1)) and is_partition(())
     assert not is_partition((1, 3))
