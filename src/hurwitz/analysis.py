@@ -5,9 +5,8 @@ known identities over computed ranges, with deterministic structured reports.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import reference_data
 from .engine import HurwitzCache, coefficient_terms, hurwitz_number, one_part_genus0
@@ -19,8 +18,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class AuditRecord:
+class AuditRecord(NamedTuple):
     label: str
     g: int | None
     mu: Partition | None
@@ -39,14 +37,20 @@ class AuditRecord:
         }
 
 
-@dataclass
 class AuditReport:
     """Deterministic audit result: scope descriptor, per-key records, summary."""
 
-    name: str
-    scope: str
-    records: list[AuditRecord] = field(default_factory=list)
-    data: dict = field(default_factory=dict)
+    def __init__(
+        self,
+        name: str,
+        scope: str,
+        records: list[AuditRecord] | None = None,
+        data: dict | None = None,
+    ):
+        self.name = name
+        self.scope = scope
+        self.records: list[AuditRecord] = [] if records is None else records
+        self.data: dict = {} if data is None else data
 
     @property
     def failures(self) -> int:
@@ -89,10 +93,11 @@ def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[
     """
     sizes = range(max(min_size, 1), r_max + 2)
     # (weight, length) -> profiles in reverse-lexicographic order; at a fixed
-    # branch count and genus, the weight fixes the length.
+    # branch count and genus, the weight fixes the length, and a weight-n
+    # profile within range has at most r_max + 2 - n parts.
     by_shape: dict[tuple[int, int], list[Partition]] = {}
     for n in sizes:
-        for mu in partitions_of(n):
+        for mu in partitions_of(n, max_len=r_max + 2 - n):
             by_shape.setdefault((n, len(mu)), []).append(mu)
     out = []
     for r in range(r_max + 1):

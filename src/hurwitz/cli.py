@@ -14,10 +14,10 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from . import analysis, engine, oracle, reference_data
+from . import analysis, engine, oracle
 from .engine import HurwitzCache, cache_load
 from .partitions import Partition, partitions_of, ramification, sort_to_partition
 
@@ -30,8 +30,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(NamedTuple):
     g: int
     mu: Partition
     method: str

@@ -14,12 +14,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import threading
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
@@ -262,7 +260,6 @@ def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
 
 # Grow-on-demand store of logged covering series, one per construction route.
 _log_tables: dict[str, GenSeries] = {}
-_log_lock = threading.Lock()
 
 _SERIES_BUILDERS = {
     "operator": covering_series,
@@ -276,15 +273,14 @@ def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
     A table is rebuilt, at the larger bounds, only when a request exceeds
     it; a caller that knows its largest key builds the table once up front.
     """
-    with _log_lock:
-        cur = _log_tables.get(method)
-        if cur is not None and cur.d_max >= d_max and cur.r_max >= r_max:
-            return cur
-        nd = max(d_max, cur.d_max if cur else 0)
-        nr = max(r_max, cur.r_max if cur else 0)
-        table = _SERIES_BUILDERS[method](nd, nr).log()
-        _log_tables[method] = table
-        return table
+    cur = _log_tables.get(method)
+    if cur is not None and cur.d_max >= d_max and cur.r_max >= r_max:
+        return cur
+    nd = max(d_max, cur.d_max if cur else 0)
+    nr = max(r_max, cur.r_max if cur else 0)
+    table = _SERIES_BUILDERS[method](nd, nr).log()
+    _log_tables[method] = table
+    return table
 
 
 def connected_from_log(g: int, mu: Iterable[int], method: str = "operator") -> Fraction:
@@ -308,23 +304,31 @@ def _cache_sort_key(item: tuple[tuple[int, Partition], Fraction]):
     return (r, g, sum(mu), tuple(-p for p in mu))
 
 
-@dataclass
 class HurwitzCache:
     """Memo map (g, mu) -> value for the cut-and-join recursion.
 
     A key, once inserted, is never overwritten with a different value;
     disagreement is a hard error.  The persistence format is line-delimited
-    JSON, sorted so saves are byte-for-byte reproducible.
+    JSON, sorted so saves are byte-for-byte reproducible.  A cache takes no
+    lock: threads may share it for `hurwitz_number`, which stores the same
+    value for a key in every thread, but `insert`, `merge` and `save` need
+    it to themselves.
     """
 
-    entries: dict[tuple[int, Partition], Fraction] = field(default_factory=dict)
-    path: str | None = None
-    dirty: bool = False
-    missing_on_load: bool = False
-    # 2 * value of every entry `hurwitz_number` has computed or read; entries
-    # are never changed once inserted, so a stored 2h cannot go stale.
-    _twice: dict[tuple[int, Partition], int] = field(default_factory=dict, repr=False, compare=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    def __init__(
+        self,
+        entries: dict[tuple[int, Partition], Fraction] | None = None,
+        path: str | None = None,
+        dirty: bool = False,
+        missing_on_load: bool = False,
+    ):
+        self.entries: dict[tuple[int, Partition], Fraction] = {} if entries is None else entries
+        self.path = path
+        self.dirty = dirty
+        self.missing_on_load = missing_on_load
+        # 2 * value of every entry `hurwitz_number` has computed or read; entries
+        # are never changed once inserted, so a stored 2h cannot go stale.
+        self._twice: dict[tuple[int, Partition], int] = {}
 
     def get(self, g: int, mu: Partition) -> Fraction | None:
         return self.entries.get((g, mu))
@@ -332,15 +336,14 @@ class HurwitzCache:
     def insert(self, g: int, mu: Partition, value: Fraction) -> None:
         key = (g, as_partition(mu))
         value = Fraction(value)
-        with self._lock:
-            old = self.entries.get(key)
-            if old is None:
-                self.entries[key] = value
-                self.dirty = True
-            elif old != value:
-                raise CacheConflictError(
-                    f"cache conflict at g={g}, mu={mu}: {old} != {value}"
-                )
+        old = self.entries.get(key)
+        if old is None:
+            self.entries[key] = value
+            self.dirty = True
+        elif old != value:
+            raise CacheConflictError(
+                f"cache conflict at g={g}, mu={mu}: {old} != {value}"
+            )
 
     def merge(self, other: "HurwitzCache") -> None:
         for (g, mu), value in other.entries.items():
@@ -365,8 +368,8 @@ class HurwitzCache:
         ]
         # Write a sibling file and rename it over the target, so a crash or a
         # failed write leaves the old cache whole.  The name is unique per
-        # thread of each process, so concurrent saves never share it.
-        tmp = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+        # process and live cache, so concurrent saves never share it.
+        tmp = f"{path}.{os.getpid()}-{id(self)}.tmp"
         try:
             with open(tmp, "w", encoding="ascii") as fh:
                 fh.write("\n".join(lines))
@@ -386,7 +389,8 @@ def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with a warning flag.
 
     Each line is validated once and stored directly: a key that repeats with
-    a different value raises CacheConflictError, as `insert` would.
+    a different value raises CacheConflictError, as `insert` would.  A
+    profile is refused exactly when `as_partition` would refuse it.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
@@ -401,7 +405,9 @@ def cache_load(path: str) -> HurwitzCache:
             try:
                 rec = json.loads(line)
                 g = int(rec["g"])
-                mu = as_partition(map(int, rec["mu"]))
+                mu = tuple(map(int, rec["mu"]))
+                if mu and (mu[-1] < 1 or mu != tuple(sorted(mu, reverse=True))):
+                    raise ValueError(f"not a partition: {mu!r}")
                 num, den = int(rec["num"]), int(rec["den"])
                 if den <= 0:
                     raise ValueError("denominator must be positive")
@@ -409,7 +415,7 @@ def cache_load(path: str) -> HurwitzCache:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
             value = Fraction(num, den)
             old = entries.setdefault((g, mu), value)
-            if old != value:
+            if old is not value and old != value:
                 raise CacheConflictError(f"cache conflict at g={g}, mu={mu}: {old} != {value}")
     return cache
 
@@ -423,8 +429,7 @@ def cache_load(path: str) -> HurwitzCache:
 LedgerTerm = tuple[str, int, tuple[tuple[int, Partition], ...], int | None]
 
 
-@dataclass(frozen=True)
-class CoefficientTerm:
+class CoefficientTerm(NamedTuple):
     """One collapsed right-hand-side term of the recursion for a fixed key."""
 
     label: str
@@ -492,7 +497,11 @@ def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
     # two sides is collapsed into eps.  A side (g1, alpha, l) is kept when it
     # does not exceed its mirror (g - g1, beta, n): always for g1 < g/2, never
     # for g1 > g/2, and by comparing (alpha, l) with (beta, n) at g1 = g/2.
-    binomials = [comb(r - 1, k) for k in range(r)]
+    # A split reads the binomial at index 2 g1 + r1_base + alpha, which is at
+    # most g + len(lam) + |lam| - 3; a key with no part of 2 or more has none.
+    binomials = []
+    if lam[0] > 1:
+        binomials = [comb(r - 1, k) for k in range(g + len(lam) + sum(lam) - 2)]
     for a in values:
         rest = _replace(lam, (a,), ())
         for l_multiset, n_multiset in _complementary_pairs(rest):
@@ -586,7 +595,8 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
                 twice_h[key] = _twice_value(key, value)
                 continue
             if key == (0, (1,)):
-                store.insert(0, (1,), Fraction(1))
+                known[key] = Fraction(1)
+                store.dirty = True
                 twice_h[key] = 2
                 continue
             terms = _ledger(*key)
@@ -605,7 +615,11 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
             raise ArithmeticError(
                 f"cut-and-join sum at g={key[0]}, mu={key[1]} is not a multiple of 1/2: 8h = {eight_h}"
             )
-        store.insert(*key, Fraction(eight_h // 4, 2))
+        # Only a key missing on its first visit gets here, so this store
+        # overwrites no value but an equal one another thread computed:
+        # `insert`'s conflict check would find nothing.
+        known[key] = Fraction(eight_h // 4, 2)
+        store.dirty = True
         twice_h[key] = eight_h // 4
     return known[(g, lam)]
 

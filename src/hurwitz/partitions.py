@@ -37,34 +37,42 @@ def sort_to_partition(k: Iterable[int]) -> Partition:
     return t
 
 
-def partitions_of(n: int, max_part: int | None = None) -> list[Partition]:
+def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order.
 
-    The order is the canonical enumeration order throughout the package so
-    that derived artifacts (caches, reports, tables) are byte-stable.
+    Only partitions with every part at most max_part and at most max_len
+    parts are listed, when those bounds are given.  The order is the
+    canonical enumeration order throughout the package so that derived
+    artifacts (caches, reports, tables) are byte-stable.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     cap = n if max_part is None else max_part
-    # (rem, largest part allowed) -> its partitions; shared by every prefix
-    # that leaves the same remainder under the same cap.
-    memo: dict[tuple[int, int], list[Partition]] = {}
+    length = n if max_len is None else max_len
+    if length < 0:
+        return []
+    # (rem, largest part allowed, parts left) -> its partitions; shared by
+    # every prefix that leaves the same remainder under the same bounds.
+    memo: dict[tuple[int, int, int], list[Partition]] = {}
 
-    def build(rem: int, largest: int) -> list[Partition]:
+    def build(rem: int, largest: int, slots: int) -> list[Partition]:
         if rem == 0:
             return [()]
-        largest = min(rem, largest)
-        out = memo.get((rem, largest))
+        key = (rem, min(rem, largest), min(rem, slots))
+        out = memo.get(key)
         if out is None:
-            out = [
-                (first, *rest)
-                for first in range(largest, 0, -1)
-                for rest in build(rem - first, first)
-            ]
-            memo[(rem, largest)] = out
+            _, largest, slots = key
+            out = []
+            if largest * slots >= rem:  # else the allowed parts cannot reach rem
+                out = [
+                    (first, *rest)
+                    for first in range(largest, 0, -1)
+                    for rest in build(rem - first, first, slots - 1)
+                ]
+            memo[key] = out
         return out
 
-    return build(n, cap)
+    return build(n, cap, length)
 
 
 def multiplicities(lam: Sequence[int]) -> Counter:

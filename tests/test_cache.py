@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hurwitz import CacheConflictError, HurwitzCache, cache_load, hurwitz_number
+from hurwitz.analysis import keys_with_ramification_at_most
+from hurwitz.partitions import as_partition
 
 
 def test_insert_get_and_idempotence():
@@ -85,6 +87,75 @@ def test_load_rejects_a_profile_that_is_not_a_partition(tmp_path):
     path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n{"g":0,"mu":[1,2],"num":"1","den":"1"}\n')
     with pytest.raises(ValueError, match=f"{path}:2: malformed cache line"):
         cache_load(str(path))
+
+
+def _reference_load(path):
+    """Entries of a cache file read the plain way: `as_partition` on each profile."""
+    entries = {}
+    with open(path, encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                g = int(rec["g"])
+                mu = as_partition(map(int, rec["mu"]))
+                num, den = int(rec["num"]), int(rec["den"])
+                if den <= 0:
+                    raise ValueError("denominator must be positive")
+            except Exception as exc:
+                raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
+            value = Fraction(num, den)
+            old = entries.setdefault((g, mu), value)
+            if old != value:
+                raise CacheConflictError(f"cache conflict at g={g}, mu={mu}: {old} != {value}")
+    return entries
+
+
+@pytest.mark.parametrize(
+    "mu",
+    [
+        [2, 1], [3, 3, 1], [], ["2", "1"], [2.0, 1],  # accepted
+        [1, 2], [2, 1, 2],  # ascending
+        [0], [2, 0], [3, 1, 0],  # zero
+        [-1], [2, -1],  # negative
+        [""], [2, ""],  # empty string
+        ["x"], [2, "1.5"], [None], 7,  # not numeric
+    ],
+)
+def test_load_refuses_exactly_the_profiles_as_partition_refuses(tmp_path, mu):
+    path = tmp_path / "c.jsonl"
+    line = json.dumps({"g": 1, "mu": mu, "num": "1", "den": "1"})
+    path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n' + line + "\n")
+    try:
+        expected = as_partition(map(int, mu))
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(ValueError) as info:
+            cache_load(str(path))
+        assert str(info.value) == f"{path}:2: malformed cache line: {exc}"
+    else:
+        assert list(cache_load(str(path)).entries.items()) == [((0, (1,)), 1), ((1, expected), 1)]
+
+
+def test_load_matches_the_plain_reader_on_every_key_up_to_branch_count_18(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    cache = HurwitzCache()
+    for g, mu in keys_with_ramification_at_most(18):
+        hurwitz_number(g, mu, cache)
+    cache.save(path)
+    assert list(cache_load(path).entries.items()) == list(_reference_load(path).items())
+
+
+def test_recursion_stores_its_values_without_insert(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("insert called")
+
+    monkeypatch.setattr(HurwitzCache, "insert", refuse)
+    cache = HurwitzCache()
+    assert hurwitz_number(2, (2, 1), cache) == 364
+    assert cache.dirty
+    assert cache.get(0, (1,)) == 1 and cache.get(2, (2, 1)) == 364
 
 
 def test_merge_conflict_is_fatal():

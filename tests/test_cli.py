@@ -344,3 +344,19 @@ def test_closed_stdout_exits_141_quietly_without_saving(tmp_path):
     assert proc.returncode == 141
     assert err == b""
     assert not cache.exists()
+
+
+def test_importing_the_cli_loads_the_traced_modules_and_not_dataclasses():
+    # perfbench/traced_cli.py wraps functions of these five modules right
+    # after `import hurwitz.cli`, so the import must load each of them; the
+    # dataclasses module would pull in inspect, ast, dis and tokenize.
+    code = "import hurwitz.cli, sys; print(' '.join(sorted(sys.modules)))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hurwitz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "dataclasses" not in loaded and "inspect" not in loaded
+    for name in ("engine", "symfunc", "partitions", "analysis", "oracle"):
+        assert f"hurwitz.{name}" in loaded, name

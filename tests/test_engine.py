@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import astuple
 from fractions import Fraction
 from math import comb, factorial
 
@@ -122,6 +121,24 @@ def test_every_coefficient_is_a_multiple_of_one_half():
             assert (2 * term.coefficient).denominator == 1, (g, mu, term)
 
 
+def test_ledger_builds_only_the_binomials_a_split_reads(monkeypatch):
+    calls = 0
+    real_comb = engine.comb
+
+    def counting_comb(n, k):
+        nonlocal calls
+        calls += 1
+        return real_comb(n, k)
+
+    monkeypatch.setattr(engine, "comb", counting_comb)
+    engine._ledger(500, (1, 1))  # no part of 2 or more: no split term
+    assert calls == 0
+    for g in (0, 1, 2, 3, 10, 500):
+        calls = 0
+        engine._ledger(g, (2,))
+        assert 0 < calls <= g + 1, (g, calls)
+
+
 def test_cached_child_that_is_not_a_multiple_of_one_half_is_refused():
     cache = engine.HurwitzCache()
     cache.insert(0, (2,), Fraction(1, 3))
@@ -208,7 +225,7 @@ def _reference_ledger(g, lam):
 
 def test_ledger_matches_a_reference_built_the_plain_way():
     for g, mu in keys_with_ramification_at_most(12):
-        assert [astuple(t) for t in coefficient_terms(g, mu)] == _reference_ledger(g, mu), (g, mu)
+        assert [tuple(t) for t in coefficient_terms(g, mu)] == _reference_ledger(g, mu), (g, mu)
 
 
 def test_recursion_inserts_exactly_the_reachable_keys():
