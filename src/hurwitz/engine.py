@@ -17,7 +17,7 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import (
     Partition,
@@ -99,52 +99,50 @@ class GenSeries:
     def log(self) -> "GenSeries":
         """Series logarithm, requiring constant term exactly 1.
 
-        Uses log(1 + X) = sum_m (-1)^(m+1) X^m / m.
+        Scaling the entry at (d, r, mu) by its degree n = d + r is a derivation
+        of the product, so H = log F satisfies, on the degree-n pieces,
+        n H_n = n F_n - sum_{0<k<n} (k H_k) F_{n-k}; H is built degree by degree.
         """
         if self[(0, 0, ())] != 1:
             raise ValueError("log requires constant term 1")
-        x = dict(self.coeffs)
-        del x[(0, 0, ())]
-        res = GenSeries(self.d_max, self.r_max)
-        res.coeffs = _power_sum(x, lambda m: Fraction((-1) ** (m + 1), m), self.d_max, self.r_max)
+        d_max, r_max = self.d_max, self.r_max
+        pieces: dict[int, dict[SeriesKey, Fraction]] = {}
+        for key, c in self.coeffs.items():
+            pieces.setdefault(key[0] + key[1], {})[key] = c
+        scaled: dict[int, dict[SeriesKey, Fraction]] = {}  # n -> n H_n
+        res = GenSeries(d_max, r_max)
+        for n in range(1, d_max + r_max + 1):
+            acc = {key: n * c for key, c in pieces.get(n, {}).items()}
+            for k, hk in scaled.items():
+                if n - k in pieces:
+                    for key, c in _mul_coeffs(hk, pieces[n - k], d_max, r_max).items():
+                        acc[key] = acc.get(key, 0) - c
+            acc = {key: c for key, c in acc.items() if c}
+            if acc:
+                scaled[n] = acc
+                res.coeffs.update((key, c / n) for key, c in acc.items())
         return res
 
     def exp(self) -> "GenSeries":
-        """Series exponential, requiring constant term exactly 0."""
+        """Series exponential, requiring constant term exactly 0.
+
+        Uses exp(X) = sum_m X^m / m!; every term of X has d + r >= 1, so
+        X^m vanishes once m > d_max + r_max.  This plain power sum shares no
+        step with `log`, so `log().exp()` checks `log` independently.
+        """
         if self[(0, 0, ())] != 0:
             raise ValueError("exp requires constant term 0")
+        out: dict[SeriesKey, Fraction] = {(0, 0, ()): Fraction(1)}
+        power, m = self.coeffs, 1
+        while power:
+            w = Fraction(1, factorial(m))
+            for key, c in power.items():
+                out[key] = out.get(key, 0) + w * c
+            power = _mul_coeffs(power, self.coeffs, self.d_max, self.r_max)
+            m += 1
         res = GenSeries(self.d_max, self.r_max)
-        terms = _power_sum(self.coeffs, lambda m: Fraction(1, factorial(m)), self.d_max, self.r_max)
-        res.coeffs = {(0, 0, ()): Fraction(1), **terms}
+        res.coeffs = {key: c for key, c in out.items() if c}
         return res
-
-
-def _power_sum(
-    x: dict[SeriesKey, Fraction],
-    weight: Callable[[int], Fraction],
-    d_max: int,
-    r_max: int,
-) -> dict[SeriesKey, Fraction]:
-    """sum_{m >= 1} weight(m) X^m for X without constant term, truncated to the bounds.
-
-    Every term of X has d + r >= 1, so X^m vanishes once m > d_max + r_max.
-    """
-    out: dict[SeriesKey, Fraction] = {}
-    power = x
-    m = 1
-    while power:
-        w = weight(m)
-        for key, c in power.items():
-            s = out.get(key, Fraction(0)) + w * c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        if m > d_max + r_max:
-            break
-        power = _mul_coeffs(power, x, d_max, r_max)
-        m += 1
-    return out
 
 
 def _mul_coeffs(
@@ -273,12 +271,15 @@ def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
     A table is rebuilt, at the larger bounds, only when a request exceeds
     it; a caller that knows its largest key builds the table once up front.
     """
+    builder = _SERIES_BUILDERS.get(method)
+    if builder is None:
+        raise ValueError(f"unknown series method {method!r}; expected 'operator' or 'charsum'")
     cur = _log_tables.get(method)
     if cur is not None and cur.d_max >= d_max and cur.r_max >= r_max:
         return cur
     nd = max(d_max, cur.d_max if cur else 0)
     nr = max(r_max, cur.r_max if cur else 0)
-    table = _SERIES_BUILDERS[method](nd, nr).log()
+    table = builder(nd, nr).log()
     _log_tables[method] = table
     return table
 

@@ -265,6 +265,41 @@ def test_connected_from_log_examples():
     assert connected_from_log(1, (2, 1), method="charsum") == 40
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: connected_from_log(0, (2,), method="bogus"),
+        lambda: engine.log_table(2, 1, "bogus"),
+    ],
+    ids=["connected_from_log", "log_table"],
+)
+def test_unknown_series_method_is_a_value_error(call):
+    with pytest.raises(ValueError, match="'bogus'.*'operator' or 'charsum'"):
+        call()
+
+
+def test_log_table_grows_to_cover_every_request(monkeypatch):
+    monkeypatch.setattr(engine, "_log_tables", {})
+    engine.log_table(4, 6, "charsum")
+    table = engine.log_table(6, 4, "charsum")
+    assert (table.d_max, table.r_max) == (6, 6)
+    assert table == engine.covering_series_charsum(6, 6).log()
+    assert engine._log_tables["charsum"] is table
+
+
+def test_log_table_within_its_bounds_builds_nothing(monkeypatch):
+    monkeypatch.setattr(engine, "_log_tables", {})
+    table = engine.log_table(5, 5, "operator")
+
+    def refuse(d_max, r_max):
+        raise AssertionError(f"rebuilt at ({d_max}, {r_max})")
+
+    monkeypatch.setitem(engine._SERIES_BUILDERS, "operator", refuse)
+    assert engine.log_table(5, 5, "operator") is table
+    assert engine.log_table(3, 5, "operator") is table
+    assert engine.log_table(5, 0, "operator") is table
+
+
 def test_cross_method_equality_small(shared_cache):
     for n in range(1, 6):
         for mu in partitions_of(n):

@@ -126,6 +126,57 @@ def test_exp_log_roundtrip_on_random_series(series):
     assert series.log().exp() == series
 
 
+def _log_by_power_sum(series):
+    """log(1 + X) = sum_m (-1)^(m+1) X^m / m, taken with GenSeries products only."""
+    x = GenSeries(series.d_max, series.r_max)
+    for (d, r, mu), c in series.coeffs.items():
+        if (d, r) != (0, 0):
+            x.set(d, r, mu, c)
+    out = GenSeries(series.d_max, series.r_max)
+    power, m = x, 1
+    while power.coeffs:
+        for key, c in power.coeffs.items():
+            out.set(*key, out[key] + Fraction((-1) ** (m + 1), m) * c)
+        power, m = power * x, m + 1
+    return out
+
+
+def _assert_log_matches_definition(series):
+    log = series.log()
+    assert log == _log_by_power_sum(series)
+    assert all(c != 0 for c in log.coeffs.values())
+    assert all(
+        d <= series.d_max and r <= series.r_max and sum(mu) == d
+        for (d, r, mu) in log.coeffs
+    )
+
+
+def _divided_power_slice(r_max):
+    series = GenSeries(0, r_max)
+    series.set(0, 0, (), 1)
+    series.set(0, 1, (), 1)
+    return series
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: covering_series(6, 6),
+        lambda: covering_series_charsum(11, 10),  # the table `verify --rmax 10` logs
+        lambda: _divided_power_slice(6),
+    ],
+    ids=["operator-6-6", "charsum-11-10", "divided-power-slice"],
+)
+def test_log_matches_the_power_sum_definition(build):
+    _assert_log_matches_definition(build())
+
+
+@given(unit_series())
+@settings(deadline=None, max_examples=30)
+def test_log_matches_the_power_sum_definition_on_random_series(series):
+    _assert_log_matches_definition(series)
+
+
 def test_operator_and_charsum_series_agree():
     assert covering_series_charsum(7, 7) == covering_series(7, 7)
 
