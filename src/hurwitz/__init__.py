@@ -20,42 +20,35 @@ from .engine import (
     GenSeries,
     HurwitzCache,
     cache_load,
-    coefficient_terms,
     connected_from_log,
     covering_series,
     covering_series_charsum,
     disconnected_count_charsum,
     disconnected_count_operator,
-    hurwitz_normalized,
     hurwitz_number,
     one_part_closed,
     one_part_closed_stirling,
     one_part_genus0,
-    signed_surjection_count,
     stirling2,
     two_part_genus0,
 )
-from .oracle import WorkBoundExceeded, count_covers_bruteforce, is_transitive, permutations_of_cycle_type
+from .oracle import WorkBoundExceeded, count_covers_bruteforce
 from .partitions import (
     Partition,
-    aut_count,
     centralizer_order,
     conj_class_size,
     conjugate,
     content_sum,
     dim_irrep,
     hook_product,
-    leg_sum,
     partitions_of,
     ramification,
     sort_to_partition,
 )
 from .symfunc import (
     PowerSumPoly,
-    central_character,
     character,
     cut_and_join,
-    jack_eigenvalue,
     schur_in_power_sums,
 )
 

@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import reference_data
-from .engine import HurwitzCache, coefficient_terms, hurwitz_number, one_part_genus0
+from .engine import HurwitzCache, _ledger, hurwitz_number, one_part_genus0
 from .partitions import (
     Partition,
     partitions_of,
@@ -162,15 +162,15 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
             )
         )
         return report
-    for term in coefficient_terms(g, lam):
-        ok = term.coefficient.denominator == 1 and term.coefficient >= 0
-        detail = " * ".join(f"h[{cg},({','.join(map(str, cmu))})]" for cg, cmu in term.children)
-        if term.label == "split-symmetric":
-            even = term.binomial is not None and term.binomial % 2 == 0
+    for label, twice, children, binomial in _ledger(g, lam):
+        ok = twice % 2 == 0 and twice >= 0
+        detail = " * ".join(f"h[{cg},({','.join(map(str, cmu))})]" for cg, cmu in children)
+        if label == "split-symmetric":
+            even = binomial is not None and binomial % 2 == 0
             ok = ok and even
-            detail += f" central-binomial={term.binomial}"
+            detail += f" central-binomial={binomial}"
         report.records.append(
-            AuditRecord(term.label, g, lam, str(term.coefficient), ok, detail)
+            AuditRecord(label, g, lam, str(Fraction(twice, 2)), ok, detail)
         )
     return report
 

@@ -3,8 +3,9 @@ suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
-or unwritable cache path, a cached value the integrality theorem rules out),
-141 when the reader closes stdout before the output is written.
+or unwritable cache path, a cached value the integrality theorem rules out,
+an input too large to hold in memory), 141 when the reader closes stdout
+before the output is written.
 """
 
 from __future__ import annotations
@@ -283,6 +284,10 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError:
+        # A MemoryError carries no message of its own.
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -17,12 +17,11 @@ import os
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable
 
 from .partitions import (
     Partition,
     as_partition,
-    aut_count,
     centralizer_order,
     content_sum,
     dim_irrep,
@@ -31,7 +30,7 @@ from .partitions import (
     ramification,
     sort_to_partition,
 )
-from .symfunc import PowerSumPoly, character, cut_and_join
+from .symfunc import PowerSumPoly, _character, cut_and_join
 
 SeriesKey = tuple[int, int, Partition]
 
@@ -46,15 +45,12 @@ class GenSeries:
 
     __slots__ = ("d_max", "r_max", "coeffs")
 
-    def __init__(self, d_max: int, r_max: int, coeffs: dict[SeriesKey, Fraction] | None = None):
+    def __init__(self, d_max: int, r_max: int):
         if d_max < 0 or r_max < 0:
             raise ValueError("bounds must be non-negative")
         self.d_max = d_max
         self.r_max = r_max
         self.coeffs: dict[SeriesKey, Fraction] = {}
-        if coeffs:
-            for (d, r, mu), c in coeffs.items():
-                self.set(d, r, mu, c)
 
     def set(self, d: int, r: int, mu: Iterable[int], value) -> None:
         mu = as_partition(mu)
@@ -199,11 +195,13 @@ def _charsum_counts(
     """The character sum at mu for each r in rs.
 
     The characters at mu are looked up once; each r then costs one integer
-    sum of dim lam * chi^lam_mu * (content_sum lam)^r over d! z_mu.
+    sum of dim lam * chi^lam_mu * (content_sum lam)^r over d! z_mu.  Each
+    lam comes from `partitions_of` and mu is canonical, of the same size, so
+    the characters skip `character`'s argument checks.
     """
     weights = []
     for lam, dim, c in irreps:
-        chi = character(lam, mu)
+        chi = _character(lam, mu)
         if chi:
             weights.append((c, dim * chi))
     den = factorial(sum(mu)) * centralizer_order(mu)
@@ -430,21 +428,12 @@ def cache_load(path: str) -> HurwitzCache:
 LedgerTerm = tuple[str, int, tuple[tuple[int, Partition], ...], int | None]
 
 
-class CoefficientTerm(NamedTuple):
-    """One collapsed right-hand-side term of the recursion for a fixed key."""
+def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
+    """Collapsed coefficient families of the recursion at a valid key (g, lam).
 
-    label: str
-    coefficient: Fraction
-    children: tuple[tuple[int, Partition], ...]
-    binomial: int | None = None  # the branch-point binomial, for split terms
-
-
-def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
-    """Collapsed coefficient families of the recursion at (g, k).
-
-    The value at (g, k) is the sum over these terms of the coefficient times
-    the product of the children's values.  Multiplicity collapsing follows
-    the identities
+    The value at (g, lam) is the sum over these terms of the coefficient
+    (half the stored twice-coefficient) times the product of the children's
+    values.  Multiplicity collapsing follows the identities
       merge, distinct parts a != b:   (m_{a+b} + 1)(a + b)
       merge, equal parts a:           (m_{2a} + 1) a
       genus-drop cut, alpha != beta:  alpha beta (m_alpha + 1)(m_beta + 1)
@@ -453,16 +442,6 @@ def coefficient_terms(g: int, k: Iterable[int]) -> list[CoefficientTerm]:
     with eps = 1 exactly when both factors coincide (then the binomial is a
     central binomial, hence even).
     """
-    lam = sort_to_partition(k)
-    ramification(g, lam)  # validates g and lam
-    return [
-        CoefficientTerm(label, Fraction(twice, 2), children, binomial)
-        for label, twice, children, binomial in _ledger(g, lam)
-    ]
-
-
-def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
-    """The terms of `coefficient_terms` at a valid key, with twice-coefficients."""
     r = 2 * g - 2 + len(lam) + sum(lam)
     m = multiplicities(lam)
     values = sorted(m, reverse=True)
@@ -625,14 +604,6 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
     return known[(g, lam)]
 
 
-def hurwitz_normalized(g: int, k: Sequence[int], h: Fraction) -> Fraction:
-    """Normalization used inside the recursion: aut(k) / r(g,k)! times h."""
-    r = ramification(g, k)
-    if r < 0:
-        raise ValueError("negative ramification count")
-    return Fraction(aut_count(k), factorial(r)) * h
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -686,13 +657,6 @@ def _stirling2(p: int, m: int) -> int:
     if m == 0:
         return 0
     return m * _stirling2(p - 1, m) + _stirling2(p - 1, m - 1)
-
-
-def signed_surjection_count(m: int, p: int) -> int:
-    """sum_s binom(m,s) (-1)^s s^p, which equals (-1)^m m! S(p, m)."""
-    if m < 0 or p < 0:
-        raise ValueError("arguments must be non-negative")
-    return sum(comb(m, s) * (-1) ** s * s**p for s in range(m + 1))
 
 
 def two_part_genus0(mu1: int, mu2: int) -> Fraction:

@@ -43,35 +43,6 @@ def cycle_type(perm: Perm) -> Partition:
     return tuple(sorted(lengths, reverse=True))
 
 
-def permutations_of_cycle_type(mu) -> list[Perm]:
-    """All permutations of the given cycle type, by exhaustive filtering."""
-    mu = as_partition(mu)
-    d = sum(mu)
-    return [p for p in permutations(range(d)) if cycle_type(p) == mu]
-
-
-def is_transitive(gens: list[Perm], d: int) -> bool:
-    """True iff the group generated acts with a single orbit on {0, ..., d-1}."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    parent = list(range(d))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gen in gens:
-        if len(gen) != d:
-            raise ValueError("generator acts on the wrong number of points")
-        for i, j in enumerate(gen):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for x in range(d) if find(x) == x) == 1
-
-
 def count_covers_bruteforce(
     d: int,
     r: int,

@@ -132,20 +132,6 @@ def content_sum(lam: Partition) -> int:
     return total // 2
 
 
-def leg_sum(lam: Partition) -> int:
-    """Sum of leg lengths over all boxes, i.e. sum (i-1) lam_i; also sum binom(lam'_j, 2)."""
-    lam = as_partition(lam)
-    return sum((i - 1) * p for i, p in enumerate(lam, start=1))
-
-
-def aut_count(k: Sequence[int]) -> int:
-    """Number of automorphisms of a multi-index: product of part-multiplicity factorials."""
-    out = 1
-    for m in Counter(k).values():
-        out *= factorial(m)
-    return out
-
-
 def ramification(g: int, k: Sequence[int]) -> int:
     """Number of simple branch points forced by genus g and profile k: 2g - 2 + len(k) + sum(k).
 

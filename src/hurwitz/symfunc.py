@@ -14,10 +14,6 @@ from .partitions import (
     Partition,
     as_partition,
     centralizer_order,
-    conj_class_size,
-    conjugate,
-    dim_irrep,
-    leg_sum,
     multiplicities,
     partitions_of,
 )
@@ -192,14 +188,6 @@ def _character(lam: Partition, mu: Partition) -> int:
     return val
 
 
-def central_character(lam: Partition, mu: Partition) -> Fraction:
-    """Class size times character over dimension; the central character value."""
-    lam, mu = as_partition(lam), as_partition(mu)
-    if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return Fraction(conj_class_size(mu) * character(lam, mu), dim_irrep(lam))
-
-
 def schur_in_power_sums(lam: Partition) -> PowerSumPoly:
     """Schur function expanded in the power-sum basis: sum over mu of chi/z_mu p_mu."""
     lam = as_partition(lam)
@@ -214,21 +202,15 @@ def schur_in_power_sums(lam: Partition) -> PowerSumPoly:
 # ---------------------------------------------------------------------------
 # cut-and-join
 
-def cut_and_join(poly: PowerSumPoly, alpha: Scalar = 1) -> PowerSumPoly:
-    """Apply the cut-and-join operator, or its one-parameter deformation.
+def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
+    """Apply the cut-and-join operator.
 
     The operator is (1/2) sum_{k,l>=1} [(k+l) p_k p_l d/dp_{k+l}
     + k l p_{k+l} d/dp_k d/dp_l], applied monomial by monomial: each part v
     may be cut into an unordered pair {k, v-k}, and each unordered pair of
     parts may be joined into their sum.  All resulting coefficients are
     integers, so the image of an integral polynomial stays integral.
-
-    For alpha != 1 the join term carries a factor alpha and an extra
-    diagonal term (alpha - 1)/2 sum_k k^2 p_k d/dp_k appears; at alpha = 1
-    this is the plain operator.
     """
-    alpha = Fraction(alpha)
-    deformed = alpha != 1
     acc: dict[Partition, Fraction] = {}
     for mu, coeff in poly.terms.items():
         m = multiplicities(mu)
@@ -254,27 +236,11 @@ def cut_and_join(poly: PowerSumPoly, alpha: Scalar = 1) -> PowerSumPoly:
                 else:
                     factor = Fraction(a * b * m[a] * m[b])
                     removed = [a, b]
-                if deformed:
-                    factor *= alpha
                 base = list(mu)
                 for x in removed:
                     base.remove(x)
                 key = tuple(sorted(base + [a + b], reverse=True))
                 acc[key] = acc.get(key, Fraction(0)) + coeff * factor
-        if deformed:
-            diag = (alpha - 1) * Fraction(sum(v * v * m[v] for v in values), 2)
-            acc[mu] = acc.get(mu, Fraction(0)) + coeff * diag
     out = PowerSumPoly.zero()
     out.terms = {k: v for k, v in acc.items() if v}
     return out
-
-
-def jack_eigenvalue(lam: Partition, alpha: Scalar) -> Fraction:
-    """Eigenvalue of the deformed operator on the Jack function indexed by lam.
-
-    alpha * legsum(lam') - legsum(lam) + (alpha - 1)|lam|/2; at alpha = 1 this
-    reduces to the content sum of lam.
-    """
-    lam = as_partition(lam)
-    alpha = Fraction(alpha)
-    return alpha * leg_sum(conjugate(lam)) - leg_sum(lam) + (alpha - 1) * Fraction(sum(lam), 2)

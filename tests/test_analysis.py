@@ -1,8 +1,5 @@
-from fractions import Fraction
-
 from hurwitz import (
     coefficient_audit,
-    coefficient_terms,
     converse_failures,
     identity_suite,
     integrality_audit,
@@ -11,6 +8,7 @@ from hurwitz import (
     partitions_of,
     ramification,
 )
+from hurwitz.engine import _ledger
 from hurwitz.reference_data import PUBLISHED_CONVERSE_FAILURES
 
 
@@ -88,22 +86,22 @@ def test_coefficient_audit_examples():
     rep = coefficient_audit(2, (3, 1))
     assert rep.ok
     # the half-valued child profile (1,1) occurs and its coefficient absorbs the half
-    children = [term for term in coefficient_terms(2, (3, 1)) if any(c[1] == (1, 1) for c in term.children)]
-    assert children
-    for term in children:
-        assert (term.coefficient * Fraction(1, 2)).denominator == 1
+    twices = [twice for _, twice, children, _ in _ledger(2, (3, 1)) if any(c[1] == (1, 1) for c in children)]
+    assert twices
+    for twice in twices:
+        assert twice % 4 == 0  # the coefficient, twice / 2, times 1/2 is an integer
 
 
 def test_coefficient_audit_symmetric_case_has_even_binomial():
     rep = coefficient_audit(2, (4,))
     sym = [rec for rec in rep.records if rec.label == "split-symmetric"]
     assert sym and rep.ok
-    terms = [
-        t
-        for t in coefficient_terms(2, (4,))
-        if len(t.children) == 2 and t.children[0] == t.children[1]
+    binomials = [
+        binomial
+        for _, _, children, binomial in _ledger(2, (4,))
+        if len(children) == 2 and children[0] == children[1]
     ]
-    assert terms and all(t.binomial % 2 == 0 for t in terms)
+    assert binomials and all(binomial % 2 == 0 for binomial in binomials)
 
 
 def test_coefficient_audit_generator_keys_are_out_of_scope():

@@ -81,6 +81,17 @@ def test_compute_usage_errors(capsys):
     assert code == 2 and "refused" in err  # work bound
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # stands in for `compute 0 "2^9999999999"`, which asks for a list of 10^10 parts
+    def exhausted(text):
+        raise MemoryError
+
+    monkeypatch.setattr(hurwitz.cli, "parse_partition", exhausted)
+    code, out, err = run(capsys, "compute", "0", "2^9999999999")
+    assert code == 2 and out == ""
+    assert err == "error: out of memory: the input is too large\n"
+
+
 def test_table_formats_have_identical_value_multisets(capsys):
     outputs = {}
     for fmt in ("md", "csv", "json"):

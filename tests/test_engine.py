@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hurwitz.engine as engine
+import hurwitz.symfunc as symfunc
 from hurwitz import (
-    coefficient_terms,
     connected_from_log,
     disconnected_count_charsum,
     disconnected_count_operator,
-    hurwitz_normalized,
     hurwitz_number,
     keys_with_ramification_at_most,
     one_part_closed,
@@ -20,7 +19,6 @@ from hurwitz import (
     parity_scan,
     partitions_of,
     ramification,
-    signed_surjection_count,
     stirling2,
     two_part_genus0,
 )
@@ -44,6 +42,25 @@ def test_disconnected_bruteforce_weight_oracle():
         expect_swap = Fraction(1, 2) if r % 2 == 1 else Fraction(0)
         assert disconnected_count_charsum(2, r, (1, 1)) == expect_id
         assert disconnected_count_charsum(2, r, (2,)) == expect_swap
+
+
+def test_charsum_series_leaves_argument_checks_to_the_public_character(monkeypatch):
+    # the builder's lam and mu are canonical and of one size already
+    calls = 0
+    real_as_partition = symfunc.as_partition
+
+    def counting_as_partition(parts):
+        nonlocal calls
+        calls += 1
+        return real_as_partition(parts)
+
+    monkeypatch.setattr(symfunc, "as_partition", counting_as_partition)
+    engine.covering_series_charsum(6, 6)
+    assert calls == 0
+    assert symfunc.character((2, 1), (3,)) == -1
+    assert calls == 2
+    with pytest.raises(ValueError, match="size mismatch"):
+        symfunc.character((2, 1), (2,))
 
 
 def test_disconnected_operator_examples():
@@ -89,8 +106,8 @@ def test_recursion_termination_metric():
     # every child of the ledger has a strictly smaller branch count
     for g, mu in keys_with_ramification_at_most(10):
         r = ramification(g, mu)
-        for term in coefficient_terms(g, mu):
-            assert all(ramification(cg, cmu) < r for cg, cmu in term.children), (g, mu, term)
+        for term in engine._ledger(g, mu):
+            assert all(ramification(cg, cmu) < r for cg, cmu in term[2]), (g, mu, term)
 
 
 def _fraction_evaluation(r_max):
@@ -100,9 +117,9 @@ def _fraction_evaluation(r_max):
         if (g, mu) == (0, (1,)):
             continue
         total = Fraction(0)
-        for term in coefficient_terms(g, mu):
-            product = term.coefficient
-            for child in term.children:
+        for _, twice, children, _ in engine._ledger(g, mu):
+            product = Fraction(twice, 2)
+            for child in children:
                 product *= values[child]
             total += product
         values[(g, mu)] = total
@@ -117,8 +134,8 @@ def test_integer_kernel_matches_a_fraction_evaluation_of_the_ledger():
 
 def test_every_coefficient_is_a_multiple_of_one_half():
     for g, mu in keys_with_ramification_at_most(12):
-        for term in coefficient_terms(g, mu):
-            assert (2 * term.coefficient).denominator == 1, (g, mu, term)
+        for term in engine._ledger(g, mu):
+            assert type(term[1]) is int, (g, mu, term)
 
 
 def test_ledger_builds_only_the_binomials_a_split_reads(monkeypatch):
@@ -225,7 +242,11 @@ def _reference_ledger(g, lam):
 
 def test_ledger_matches_a_reference_built_the_plain_way():
     for g, mu in keys_with_ramification_at_most(12):
-        assert [tuple(t) for t in coefficient_terms(g, mu)] == _reference_ledger(g, mu), (g, mu)
+        ledger = [
+            (label, Fraction(twice, 2), children, binomial)
+            for label, twice, children, binomial in engine._ledger(g, mu)
+        ]
+        assert ledger == _reference_ledger(g, mu), (g, mu)
 
 
 def test_recursion_inserts_exactly_the_reachable_keys():
@@ -309,22 +330,17 @@ def test_cross_method_equality_small(shared_cache):
                 assert connected_from_log(g, mu, method="charsum") == h
 
 
-def test_hurwitz_normalized():
-    assert hurwitz_normalized(0, (1,), Fraction(1)) == 1
-    assert hurwitz_normalized(0, (1, 1), Fraction(1, 2)) == Fraction(1, 2)
-    assert hurwitz_normalized(0, (3,), Fraction(1)) == Fraction(1, 2)
-
-
 def test_normalized_form_of_recursion(shared_cache):
-    # merge identity for flat profiles in normalized form:
+    # merge identity for flat profiles in normalized form H = aut(k) h / r!:
     # r H(1^n) = binom(n,2) 2 H(2,1^(n-2))
     for n in range(2, 6):
         for g in range(3):
             flat = (1,) * n
             r = ramification(g, flat)
-            lhs = r * hurwitz_normalized(g, flat, hurwitz_number(g, flat, shared_cache))
+            lhs = r * Fraction(factorial(n), factorial(r)) * hurwitz_number(g, flat, shared_cache)
             merged = (2,) + (1,) * (n - 2)
-            rhs = n * (n - 1) * hurwitz_normalized(g, merged, hurwitz_number(g, merged, shared_cache))
+            normalized = Fraction(factorial(n - 2), factorial(ramification(g, merged)))
+            rhs = n * (n - 1) * normalized * hurwitz_number(g, merged, shared_cache)
             assert lhs == rhs
 
 
@@ -367,18 +383,6 @@ def test_stirling2():
                 for i in range(m + 1)
             )
             assert stirling2(p, m) * factorial(m) == explicit
-
-
-def test_signed_surjection_count():
-    assert signed_surjection_count(3, 2) == 0
-    assert signed_surjection_count(3, 3) == -6
-    assert signed_surjection_count(2, 4) == 14
-    for m in range(8):
-        for p in range(1, m):
-            assert signed_surjection_count(m, p) == 0
-        assert signed_surjection_count(m, m) == (-1) ** m * factorial(m)
-        for p in range(9):
-            assert signed_surjection_count(m, p) == stirling2(p, m) * (-1) ** m * factorial(m)
 
 
 def test_two_part_genus0_examples(shared_cache):

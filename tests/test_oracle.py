@@ -1,4 +1,6 @@
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 from math import comb, factorial
 
 import pytest
@@ -10,9 +12,7 @@ from hurwitz import (
     count_covers_bruteforce,
     disconnected_count_charsum,
     hurwitz_number,
-    is_transitive,
     partitions_of,
-    permutations_of_cycle_type,
 )
 from hurwitz.oracle import cycle_type
 
@@ -23,26 +23,10 @@ def test_cycle_type():
     assert cycle_type((1, 2, 0)) == (3,)
 
 
-def test_enumerate_class_examples():
-    assert permutations_of_cycle_type((1, 1)) == [(0, 1)]
-    assert permutations_of_cycle_type((2,)) == [(1, 0)]
-    assert len(permutations_of_cycle_type((3,))) == 2
-
-
-def test_enumerate_class_sizes():
+def test_cycle_type_class_sizes():
     for d in range(1, 7):
-        for mu in partitions_of(d):
-            assert len(permutations_of_cycle_type(mu)) == conj_class_size(mu)
-
-
-def test_is_transitive():
-    assert is_transitive([(1, 2, 3, 0)], 4)
-    assert not is_transitive([(0, 1, 2, 3)], 4)
-    assert not is_transitive([(1, 0, 2, 3), (0, 1, 3, 2)], 4)
-    assert is_transitive([], 1)
-    assert not is_transitive([], 2)
-    with pytest.raises(ValueError):
-        is_transitive([(0, 1)], 3)
+        sizes = Counter(cycle_type(p) for p in permutations(range(d)))
+        assert sizes == {mu: conj_class_size(mu) for mu in partitions_of(d)}
 
 
 def test_count_examples():
@@ -102,6 +86,17 @@ def _counts_per_sigma(d, r, mu):
     tests transitivity on complete solutions against the orbits of s.
     """
     identity = tuple(range(d))
+    sigmas = [p for p in permutations(identity) if cycle_type(p) == mu]
+
+    def transitive(gens):
+        orbit_of = list(identity)  # each point's orbit label, merged by relabelling
+        for gen in gens:
+            for i, j in enumerate(gen):
+                a, b = orbit_of[i], orbit_of[j]
+                if a != b:
+                    orbit_of = [b if x == a else x for x in orbit_of]
+        return len(set(orbit_of)) == 1
+
     trans = []
     for a in range(d):
         for b in range(a + 1, d):
@@ -115,14 +110,14 @@ def _counts_per_sigma(d, r, mu):
         if depth == r:
             if prod == identity:
                 counts[0] += 1
-                counts[1] += is_transitive([sigma, *path], d)
+                counts[1] += transitive([sigma, *path])
             return
         for t in trans:
             path.append(t)
             rec(depth + 1, tuple(t[i] for i in prod), sigma)
             path.pop()
 
-    for sigma in permutations_of_cycle_type(mu):
+    for sigma in sigmas:
         rec(0, sigma, sigma)
     return Fraction(counts[0], factorial(d)), Fraction(counts[1], factorial(d))
 

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hurwitz import (
-    aut_count,
     centralizer_order,
     conj_class_size,
     conjugate,
     content_sum,
     dim_irrep,
     hook_product,
-    leg_sum,
     partitions_of,
     ramification,
     sort_to_partition,
@@ -162,22 +160,6 @@ def test_content_sum_antisymmetric_under_conjugation():
             assert content_sum(lam) + content_sum(conjugate(lam)) == 0
 
 
-def test_leg_sum():
-    assert leg_sum((2, 1)) == 1
-    assert leg_sum((5,)) == 0
-    assert leg_sum((1, 1, 1)) == 3
-    for n in range(9):
-        for lam in partitions_of(n):
-            conj = conjugate(lam)
-            assert leg_sum(lam) == sum(comb(c, 2) for c in conj)
-
-
-def test_aut_count():
-    assert aut_count((1, 1)) == 2
-    assert aut_count((3, 1)) == 1
-    assert aut_count((2, 2, 1, 1, 1)) == 12
-
-
 def test_ramification():
     assert ramification(0, (1,)) == 0
     assert ramification(1, (3,)) == 4
@@ -202,7 +184,6 @@ def test_sort_to_partition():
 def test_multiindex_functions_are_permutation_invariant(lam, rng):
     shuffled = list(lam)
     rng.shuffle(shuffled)
-    assert aut_count(shuffled) == aut_count(lam)
     assert sort_to_partition(shuffled) == lam
     if lam:
         assert ramification(2, shuffled) == ramification(2, lam)

@@ -2,18 +2,16 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hurwitz import (
     PowerSumPoly,
-    central_character,
     character,
     centralizer_order,
     content_sum,
     conj_class_size,
     cut_and_join,
     dim_irrep,
-    jack_eigenvalue,
     partitions_of,
     schur_in_power_sums,
 )
@@ -131,14 +129,16 @@ def test_character_column_orthogonality():
                 assert total == (centralizer_order(mu) if mu == nu else 0)
 
 
-def test_central_character():
+def test_character_at_a_transposition_is_the_content_sum():
+    # the central character |C_mu| chi^lam_mu / dim lam: 1 at the identity,
+    # the content sum of lam at a transposition
     for n in range(1, 6):
         for lam in partitions_of(n):
-            assert central_character(lam, (1,) * n) == 1
-    assert central_character((2,), (2,)) == 1
+            assert character(lam, (1,) * n) == dim_irrep(lam)
     for n in range(2, 8):
         for lam in partitions_of(n):
-            assert central_character(lam, (2,) + (1,) * (n - 2)) == content_sum(lam)
+            mu = (2,) + (1,) * (n - 2)
+            assert conj_class_size(mu) * character(lam, mu) == content_sum(lam) * dim_irrep(lam)
 
 
 def test_schur_examples():
@@ -167,51 +167,6 @@ def test_schur_eigenvectors():
         for lam in partitions_of(n):
             s = schur_in_power_sums(lam)
             assert cut_and_join(s) == s * content_sum(lam)
-
-
-@given(small_polys())
-@settings(deadline=None)
-def test_deformed_operator_specializes_at_one(poly):
-    assert cut_and_join(poly, 1) == cut_and_join(poly)
-    # the deformation is affine in alpha, so the plain operator at alpha = 1
-    # is the mean of the deformed ones at alpha = 0 and alpha = 2
-    assert (cut_and_join(poly, 0) + cut_and_join(poly, 2)) * Fraction(1, 2) == cut_and_join(poly)
-
-
-def test_deformed_operator_on_single_power_sums():
-    for alpha in (Fraction(0), Fraction(2), Fraction(1, 3), Fraction(-5, 2)):
-        assert cut_and_join(P.p(1), alpha) == P.monomial((1,), (alpha - 1) / 2)
-        # expansion by hand: cut stays unweighted, diagonal adds 2(alpha-1) p_2
-        assert cut_and_join(P.p(2), alpha) == P(
-            {(1, 1): Fraction(1), (2,): 2 * (alpha - 1)}
-        )
-
-
-def test_deformed_operator_degree_two_eigenfunctions():
-    # degree-two eigenfunctions written out by hand:
-    #   m_2 + (p_1^2 - p_2)/(1+alpha) with eigenvalue 2 alpha - 1,
-    #   (p_1^2 - p_2)/2 with eigenvalue alpha - 2
-    for alpha in (Fraction(2), Fraction(3), Fraction(1, 2)):
-        top = P.p(2) + (P.monomial((1, 1)) - P.p(2)) * Fraction(1, 1 + alpha)
-        assert cut_and_join(top, alpha) == top * jack_eigenvalue((2,), alpha)
-        bottom = (P.monomial((1, 1)) - P.p(2)) * Fraction(1, 2)
-        assert cut_and_join(bottom, alpha) == bottom * jack_eigenvalue((1, 1), alpha)
-
-
-def test_jack_eigenvalue():
-    assert jack_eigenvalue((), Fraction(7, 2)) == 0
-    for alpha in (Fraction(2), Fraction(-1, 3)):
-        assert jack_eigenvalue((1,), alpha) == (alpha - 1) / 2
-    for n in range(9):
-        for lam in partitions_of(n):
-            assert jack_eigenvalue(lam, 1) == content_sum(lam)
-
-
-def test_jack_eigenvalue_degree_two_values():
-    # n((2,)) = 0, n((1,1)) = 1
-    for alpha in (Fraction(2), Fraction(5, 3)):
-        assert jack_eigenvalue((2,), alpha) == 2 * alpha - 1
-        assert jack_eigenvalue((1, 1), alpha) == alpha - 2
 
 
 def test_power_sum_expansion_in_schur_basis():
