@@ -23,7 +23,17 @@ def test_cycle_type():
     assert cycle_type((1, 2, 0)) == (3,)
 
 
-def test_cycle_type_class_sizes():
+def _class_of(mu):
+    return [p for p in permutations(range(sum(mu))) if cycle_type(p) == mu]
+
+
+def test_enumerate_class_examples():
+    assert _class_of((1, 1)) == [(0, 1)]
+    assert _class_of((2,)) == [(1, 0)]
+    assert len(_class_of((3,))) == 2
+
+
+def test_enumerate_class_sizes():
     for d in range(1, 7):
         sizes = Counter(cycle_type(p) for p in permutations(range(d)))
         assert sizes == {mu: conj_class_size(mu) for mu in partitions_of(d)}
