@@ -3,9 +3,9 @@ suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
-or unwritable cache path, a cached value the integrality theorem rules out,
-an input too large to hold in memory), 141 when the reader closes stdout
-before the output is written.
+or unwritable cache path, a cached key that is not a Hurwitz key or a value
+the integrality theorem rules out, an input too large to hold in memory),
+141 when the reader closes stdout before the output is written.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import analysis, engine, oracle
 from .engine import HurwitzCache, cache_load
@@ -29,18 +28,6 @@ CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 
 class UsageError(ValueError):
     pass
-
-
-class OutputRecord(NamedTuple):
-    g: int
-    mu: Partition
-    method: str
-    value: str
-    elapsed: float
-
-    def line(self) -> str:
-        mu_text = ",".join(map(str, self.mu))
-        return f"h_{{{self.g},({mu_text})}} = {self.value}  # method={self.method} elapsed={self.elapsed:.3f}s"
 
 
 def parse_partition(text: str) -> Partition:
@@ -84,21 +71,16 @@ def default_cache_path() -> str:
     return os.path.join(base, "hurwitz", "cache.jsonl")
 
 
-def resolve_cache_path(flag_value: str | None) -> str:
-    return flag_value if flag_value else default_cache_path()
-
-
 # ---------------------------------------------------------------------------
 # compute
 
-def cmd_compute(g: int, mu: Partition, method: str, cache: HurwitzCache) -> OutputRecord:
+def cmd_compute(g: int, mu: Partition, method: str, cache: HurwitzCache) -> str:
+    """The output line `h_{g,(mu)} = value  # method=... elapsed=...s`."""
     start = time.perf_counter()
     if method == "cj":
         value = engine.hurwitz_number(g, mu, cache)
-    elif method == "charsum":
-        value = engine.connected_from_log(g, mu, method="charsum")
-    elif method == "operator":
-        value = engine.connected_from_log(g, mu, method="operator")
+    elif method in ("charsum", "operator"):
+        value = engine.connected_from_log(g, mu, method=method)
     elif method == "closed":
         if len(mu) == 1:
             value = engine.one_part_closed(g, mu[0])
@@ -113,7 +95,7 @@ def cmd_compute(g: int, mu: Partition, method: str, cache: HurwitzCache) -> Outp
     else:
         raise UsageError(f"unknown method {method!r}")
     elapsed = time.perf_counter() - start
-    return OutputRecord(g, mu, method, str(value), elapsed)
+    return f"h_{{{g},({format_partition(mu)})}} = {value!s}  # method={method} elapsed={elapsed:.3f}s"
 
 
 # ---------------------------------------------------------------------------
@@ -163,13 +145,13 @@ def render_table(rows: list[tuple[Partition, list[str]]], g_max: int, fmt: str) 
 # ---------------------------------------------------------------------------
 # verify
 
-def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache, out) -> bool:
+def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache) -> bool:
     ok = True
 
     def emit(passed: bool, label: str, detail: str) -> None:
         nonlocal ok
         ok = ok and passed
-        print(("PASS" if passed else "FAIL") + f" {label}: {detail}", file=out)
+        print(("PASS" if passed else "FAIL") + f" {label}: {detail}")
 
     keys = analysis.keys_with_ramification_at_most(r_max)
     # Every key has |mu| <= r_max + 1: build each log table once, at full size.
@@ -184,7 +166,7 @@ def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache, out) ->
                 mismatches.append((g, mu, method, str(h), str(other)))
     emit(not mismatches, "cross-method", f"{len(keys)} keys (recursion vs charsum/operator logs)")
     for g, mu, method, h, other in mismatches[:10]:
-        print(f"  mismatch g={g} mu={mu} {method}: {other} != {h}", file=out)
+        print(f"  mismatch g={g} mu={mu} {method}: {other} != {h}")
 
     suite = analysis.identity_suite(min(r_max, 6), min(r_max + 1, 6), cache)
     emit(suite.ok, "identities", f"{len(suite.records)} checks, {suite.failures} failures")
@@ -267,6 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if hasattr(sys, "set_int_max_str_digits"):
+        # Exact values and cached numerators may exceed the default 4300 digits.
+        sys.set_int_max_str_digits(0)
     try:
         status = _dispatch(args)
         sys.stdout.flush()
@@ -292,10 +277,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_cache(flag_value: str | None) -> HurwitzCache:
-    """Load the cache and refuse any value the integrality theorem rules out."""
-    path = resolve_cache_path(flag_value)
+    """Load the cache and refuse any key with g < 0 or an empty mu, and any
+    value the integrality theorem rules out."""
+    path = flag_value or default_cache_path()
     cache = cache_load(path)
     for (g, mu), value in cache.entries.items():
+        if g < 0 or not mu:
+            raise ValueError(
+                f"{path}: cached key g={g}, mu=({format_partition(mu)}) is not a Hurwitz key"
+            )
         _, ok = analysis.integrality_check(g, mu, value)
         if not ok:
             raise ValueError(
@@ -319,10 +309,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.g < 0:
             raise UsageError("genus must be non-negative")
         cache = _load_cache(args.cache)
-        record = cmd_compute(args.g, mu, args.method, cache)
-        print(record.line())
-        if args.method == "cj":
-            _save_cache(cache)
+        print(cmd_compute(args.g, mu, args.method, cache))
+        _save_cache(cache)
         return 0
 
     if args.command == "table":
@@ -340,7 +328,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.rmax < 0:
             raise UsageError("rmax must be non-negative")
         cache = _load_cache(args.cache)
-        ok = run_verification(args.rmax, args.with_oracle, cache, sys.stdout)
+        ok = run_verification(args.rmax, args.with_oracle, cache)
         _save_cache(cache)
         return 0 if ok else CHECK_FAILURE
 
@@ -356,7 +344,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0 if report.ok else CHECK_FAILURE
 
     if args.command == "cache":
-        path = resolve_cache_path(args.cache)
+        path = args.cache or default_cache_path()
         if args.subop == "path":
             print(path)
             return 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
@@ -25,7 +26,6 @@ from .partitions import (
     centralizer_order,
     content_sum,
     dim_irrep,
-    multiplicities,
     partitions_of,
     ramification,
     sort_to_partition,
@@ -76,13 +76,6 @@ class GenSeries:
             self.d_max == other.d_max
             and self.r_max == other.r_max
             and self.coeffs == other.coeffs
-        )
-
-    def items(self):
-        """Entries in deterministic (d, r, reverse-lex mu) order."""
-        return sorted(
-            self.coeffs.items(),
-            key=lambda kv: (kv[0][0], kv[0][1], tuple(-p for p in kv[0][2])),
         )
 
     def __mul__(self, other: "GenSeries") -> "GenSeries":
@@ -212,7 +205,7 @@ def _charsum_counts(
 def _operator_power(d: int, r: int) -> PowerSumPoly:
     """r-fold cut-and-join image of p_1^d (no 1/d! normalization)."""
     if r == 0:
-        return PowerSumPoly.p(1) ** d if d else PowerSumPoly.one()
+        return PowerSumPoly.monomial((1,) * d)
     return cut_and_join(_operator_power(d, r - 1))
 
 
@@ -314,17 +307,11 @@ class HurwitzCache:
     it to themselves.
     """
 
-    def __init__(
-        self,
-        entries: dict[tuple[int, Partition], Fraction] | None = None,
-        path: str | None = None,
-        dirty: bool = False,
-        missing_on_load: bool = False,
-    ):
-        self.entries: dict[tuple[int, Partition], Fraction] = {} if entries is None else entries
+    def __init__(self, path: str | None = None):
+        self.entries: dict[tuple[int, Partition], Fraction] = {}
         self.path = path
-        self.dirty = dirty
-        self.missing_on_load = missing_on_load
+        self.dirty = False
+        self.missing_on_load = False
         # 2 * value of every entry `hurwitz_number` has computed or read; entries
         # are never changed once inserted, so a stored 2h cannot go stale.
         self._twice: dict[tuple[int, Partition], int] = {}
@@ -443,7 +430,7 @@ def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
     central binomial, hence even).
     """
     r = 2 * g - 2 + len(lam) + sum(lam)
-    m = multiplicities(lam)
+    m = Counter(lam)
     values = sorted(m, reverse=True)
     terms: list[LedgerTerm] = []
 
@@ -519,7 +506,7 @@ def _complementary_pairs(parts: Partition) -> list[tuple[tuple[int, ...], tuple[
     how many copies they take of each value, largest value first.
     """
     pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for v, mult in sorted(multiplicities(parts).items(), reverse=True):
+    for v, mult in sorted(Counter(parts).items(), reverse=True):
         pairs = [
             (sub + (v,) * take, co + (v,) * (mult - take))
             for sub, co in pairs
@@ -644,19 +631,14 @@ def one_part_closed_stirling(g: int, n: int) -> Fraction:
 
 
 def stirling2(p: int, m: int) -> int:
-    """Stirling number of the second kind via the standard recurrence."""
+    """Stirling number of the second kind, row by row for i <= p by the
+    standard recurrence S(i, j) = j S(i-1, j) + S(i-1, j-1)."""
     if p < 0 or m < 0:
         raise ValueError("arguments must be non-negative")
-    return _stirling2(p, m)
-
-
-@lru_cache(maxsize=None)
-def _stirling2(p: int, m: int) -> int:
-    if p == 0:
-        return 1 if m == 0 else 0
-    if m == 0:
-        return 0
-    return m * _stirling2(p - 1, m) + _stirling2(p - 1, m - 1)
+    row = [1] + [0] * m  # S(0, j)
+    for _ in range(p):
+        row = [0] + [j * row[j] + row[j - 1] for j in range(1, m + 1)]
+    return row[m]
 
 
 def two_part_genus0(mu1: int, mu2: int) -> Fraction:

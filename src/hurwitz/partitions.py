@@ -75,11 +75,6 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
     return build(n, cap, length)
 
 
-def multiplicities(lam: Sequence[int]) -> Counter:
-    """Part multiplicities m_n."""
-    return Counter(lam)
-
-
 def centralizer_order(lam: Sequence[int]) -> int:
     """prod n^{m_n} m_n!  (order of the centralizer of a permutation of this cycle type)."""
     z = 1

@@ -7,6 +7,7 @@ values are plain integers.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -14,7 +15,6 @@ from .partitions import (
     Partition,
     as_partition,
     centralizer_order,
-    multiplicities,
     partitions_of,
 )
 
@@ -213,7 +213,7 @@ def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
     """
     acc: dict[Partition, Fraction] = {}
     for mu, coeff in poly.terms.items():
-        m = multiplicities(mu)
+        m = Counter(mu)
         values = sorted(m)
         # cut: replace one part v by {k, v-k}
         for v in values:

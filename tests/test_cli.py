@@ -335,6 +335,67 @@ def test_cache_keeps_the_theorems_exceptions(capsys, isolated_cache):
     assert code == 0 and "= 1" in out
 
 
+@pytest.mark.parametrize("argv", [("compute", "0", "2"), ("cache", "stats")])
+@pytest.mark.parametrize("g, mu, num, den", [(-1, [2], 1, 2), (0, [], 1, 1)])
+def test_cache_key_that_is_not_a_hurwitz_key_exits_2(capsys, isolated_cache, argv, g, mu, num, den):
+    # Each value passes the integrality check, so only the key is at fault.
+    _write_cache(isolated_cache, [(g, mu, num, den)])
+    with open(isolated_cache, encoding="ascii") as fh:
+        before = fh.read()
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    mu_text = ",".join(map(str, mu))
+    assert err == f"error: {isolated_cache}: cached key g={g}, mu=({mu_text}) is not a Hurwitz key\n"
+    with open(isolated_cache, encoding="ascii") as fh:
+        assert fh.read() == before
+
+
+def _run_cli(*argv):
+    """The CLI in a child process, so its lifted int/str digit limit stays there."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hurwitz.__file__)))
+    return subprocess.run(
+        [sys.executable, "-c", "from hurwitz.cli import main; raise SystemExit(main())", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+@pytest.fixture
+def no_int_digit_limit():
+    """Lift the int/str digit limit in this process for the test's own conversions."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_values_beyond_4300_digits_print(no_int_digit_limit):
+    value = str(hurwitz.one_part_closed(5000, 3))
+    assert len(value) > 4300
+    proc = _run_cli("compute", "5000", "3", "--method", "closed")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"h_{{5000,(3)}} = {value}  # method=closed ")
+
+
+def test_values_beyond_4300_digits_load_and_save(isolated_cache, no_int_digit_limit):
+    value = hurwitz.one_part_closed(5000, 3)
+    line = f'{{"g":5000,"mu":[3],"num":"{value.numerator}","den":"1"}}\n'
+    with open(isolated_cache, "w", encoding="ascii") as fh:
+        fh.write(line)
+    proc = _run_cli("compute", "5000", "3")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(f"h_{{5000,(3)}} = {value}  # method=cj ")
+    proc = _run_cli("compute", "0", "2")  # a miss: the cache is saved again
+    assert proc.returncode == 0, proc.stderr
+    with open(isolated_cache, encoding="ascii") as fh:
+        saved = fh.readlines()
+    assert saved[-1] == line and len(saved) > 1
+
+
 def test_closed_stdout_exits_141_quietly_without_saving(tmp_path):
     # The CSV table is about 280 kB, far more than a pipe buffer holds, so the
     # CLI is still writing when the reader closes its end after one line.

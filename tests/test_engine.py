@@ -375,14 +375,14 @@ def test_stirling2():
         assert stirling2(p, p) == 1
     assert stirling2(3, 2) == 3
     assert stirling2(4, 2) == 7
-    # independent oracle: the explicit alternating-sum formula
-    for p in range(9):
-        for m in range(9):
-            explicit = sum(
-                (-1) ** (m - i) * factorial(m) // (factorial(i) * factorial(m - i)) * i**p
-                for i in range(m + 1)
-            )
-            assert stirling2(p, m) * factorial(m) == explicit
+    # independent oracle: the explicit alternating-sum formula, also at a
+    # p far past the default Python recursion limit
+    for p, m in [(p, m) for p in range(9) for m in range(9)] + [(1200, 3)]:
+        explicit = sum(
+            (-1) ** (m - i) * factorial(m) // (factorial(i) * factorial(m - i)) * i**p
+            for i in range(m + 1)
+        )
+        assert stirling2(p, m) * factorial(m) == explicit
 
 
 def test_two_part_genus0_examples(shared_cache):

@@ -187,9 +187,3 @@ def test_charsum_series_entries_are_the_pointwise_character_sums():
         for mu in partitions_of(d):
             for r in range(7):
                 assert series[(d, r, mu)] == disconnected_count_charsum(d, r, mu)
-
-
-def test_items_order_is_deterministic():
-    tau = covering_series(3, 2)
-    keys = [key for key, _ in tau.items()]
-    assert keys == sorted(keys, key=lambda k: (k[0], k[1], tuple(-p for p in k[2])))
