@@ -376,7 +376,11 @@ def cache_load(path: str) -> HurwitzCache:
 
     Each line is validated once and stored directly: a key that repeats with
     a different value raises CacheConflictError, as `insert` would.  A
-    profile is refused exactly when `as_partition` would refuse it.
+    profile is refused exactly when `as_partition` would refuse it.  The
+    genus must be a JSON integer, and `num` and `den` strings equal to
+    `str(int(text))` (no `+`, space, underscore or leading zero) with
+    den > 0, so a line that `save` could not have written is refused rather
+    than silently rewritten.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
@@ -390,11 +394,16 @@ def cache_load(path: str) -> HurwitzCache:
                 continue
             try:
                 rec = json.loads(line)
-                g = int(rec["g"])
+                g = rec["g"]
+                if type(g) is not int:
+                    raise ValueError(f"genus is not an integer: {g!r}")
                 mu = tuple(map(int, rec["mu"]))
                 if mu and (mu[-1] < 1 or mu != tuple(sorted(mu, reverse=True))):
                     raise ValueError(f"not a partition: {mu!r}")
-                num, den = int(rec["num"]), int(rec["den"])
+                num_text, den_text = rec["num"], rec["den"]
+                num, den = int(num_text), int(den_text)
+                if str(num) != num_text or str(den) != den_text:
+                    raise ValueError(f"num {num_text!r}, den {den_text!r}: not canonical decimal strings")
                 if den <= 0:
                     raise ValueError("denominator must be positive")
             except Exception as exc:

@@ -5,20 +5,28 @@ t_i a transposition, s of cycle type mu, and t_r ... t_1 s the identity,
 optionally restricted to tuples whose entries generate a transitive group.
 The equation fixes s as the inverse of t_r ... t_1, so the search enumerates
 the C(d,2)^r transposition tuples once and solves for s rather than searching
-for it: a tuple counts when its product has cycle type mu.  The search is
-deliberately naive: no pruning, transitivity tested only on complete tuples,
-division by d! once at the end.
+for it: a tuple counts when its product has cycle type mu.
+
+The enumeration recurses depth first over the first r - k transpositions and
+expands the last k as one list of products per prefix, with k the largest
+value at most r such that C(d,2)^k <= _BLOCK = 4096; so no list holds more
+than 4096 products.  The search is deliberately naive all the same: no
+pruning, transitivity tested only on complete tuples, division by d! once at
+the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, factorial
 
 from .partitions import Partition, as_partition, conj_class_size
 
 Perm = tuple[int, ...]
+
+# Most products the last levels of the search hold in one list.
+_BLOCK = 4096
 
 
 class WorkBoundExceeded(RuntimeError):
@@ -54,7 +62,11 @@ def count_covers_bruteforce(
 
     Every tuple (t_1, ..., t_r) of transpositions is enumerated once; s is
     solved for as the inverse of t_r ... t_1, which has the product's cycle
-    type, so the tuple counts when that product has cycle type mu.
+    type, so the tuple counts when that product has cycle type mu.  Each
+    prefix (t_1, ..., t_{r-k}) of the depth-first search expands its last k
+    levels into a list of at most 4096 products, in the order in which
+    `itertools.product` lists the suffixes (t_{r-k+1}, ..., t_r); a connected
+    count tests each hit's complete tuple for transitivity.
 
     Refuses (rather than truncates) when class size times C(d,2)^r, plus the
     group-indexing cost d! (C(d,2) + 1), exceeds the work bound.  That is an
@@ -84,46 +96,46 @@ def count_covers_bruteforce(
     perms = list(permutations(range(d)))
     index = {p: i for i, p in enumerate(perms)}
     lmul = [
-        [index[tuple(t[p[i]] for i in range(d))] for p in perms] for t in trans_perms
+        [index[tuple(map(t.__getitem__, p))] for p in perms] for t in trans_perms
     ]
     hit = [cycle_type(p) == mu for p in perms]
 
-    total = _search(r, index[tuple(range(d))], lmul, hit, transpositions if connected else None, d)
-    return Fraction(total, factorial(d))
-
-
-def _search(r: int, start: int, lmul, hit: list[bool], edges, d: int) -> int:
-    """Complete r-tuples whose product t_r ... t_1 is a hit.
-
-    With `edges` given, a tuple also has to join all d points: s lies in the
-    group its transpositions generate, so s adds no orbit to test.
-    """
     n_trans = len(lmul)
+    k = 0
+    while k < r and n_trans ** (k + 1) <= _BLOCK:
+        k += 1
     path: list[int] = []
 
-    def joins_all_points() -> bool:
+    def joins_all_points(edge_ids) -> bool:
+        # Union-find over the points; s lies in the group the transpositions
+        # generate, so it adds no orbit to test.
         parent = list(range(d))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         remaining = d
-        for t in path:
-            a, b = edges[t]
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+        for t in edge_ids:
+            a, b = transpositions[t]
+            while parent[a] != a:
+                a = parent[a]
+            while parent[b] != b:
+                b = parent[b]
+            if a != b:
+                parent[a] = b
                 remaining -= 1
         return remaining == 1
 
     def rec(depth: int, prod_idx: int) -> int:
-        if depth == r:
-            if not hit[prod_idx]:
-                return 0
-            return 1 if edges is None or joins_all_points() else 0
+        if depth == r - k:
+            # The last k levels: every product t_r ... t_1 below this prefix,
+            # in the order itertools.product lists their transpositions.
+            frontier = [prod_idx]
+            for _ in range(k):
+                frontier = [row[p] for p in frontier for row in lmul]
+            if not connected:
+                return sum(map(hit.__getitem__, frontier))
+            count = 0
+            for p, suffix in zip(frontier, product(range(n_trans), repeat=k)):
+                if hit[p] and joins_all_points((*path, *suffix)):
+                    count += 1
+            return count
         count = 0
         for t in range(n_trans):
             path.append(t)
@@ -131,4 +143,4 @@ def _search(r: int, start: int, lmul, hit: list[bool], edges, d: int) -> int:
             path.pop()
         return count
 
-    return rec(0, start)
+    return Fraction(rec(0, index[tuple(range(d))]), factorial(d))

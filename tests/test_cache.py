@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,44 @@ def test_load_rejects_a_profile_that_is_not_a_partition(tmp_path):
     path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n{"g":0,"mu":[1,2],"num":"1","den":"1"}\n')
     with pytest.raises(ValueError, match=f"{path}:2: malformed cache line"):
         cache_load(str(path))
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"g":1.5,"mu":[3],"num":"2_7","den":1}',
+        '{"g":1.5,"mu":[3],"num":"27","den":"1"}',
+        '{"g":true,"mu":[3],"num":"27","den":"1"}',
+        '{"g":"1","mu":[3],"num":"27","den":"1"}',
+        '{"g":1,"mu":[3],"num":"2_7","den":"1"}',
+        '{"g":1,"mu":[3],"num":" 27","den":"1"}',
+        '{"g":1,"mu":[3],"num":"+27","den":"1"}',
+        '{"g":1,"mu":[3],"num":"027","den":"1"}',
+        '{"g":1,"mu":[3],"num":"-0","den":"1"}',
+        '{"g":1,"mu":[3],"num":27,"den":"1"}',
+        '{"g":1,"mu":[3],"num":"27","den":1}',
+        '{"g":1,"mu":[3],"num":"27","den":"+1"}',
+        '{"g":1,"mu":[3],"num":"27","den":"01"}',
+    ],
+)
+def test_load_refuses_a_line_that_save_could_not_have_written(tmp_path, line):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n' + line + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: malformed cache line: "):
+        cache_load(str(path))
+
+
+def test_load_accepts_the_lines_save_writes(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text(
+        '{"g":0,"mu":[1],"num":"1","den":"1"}\n'
+        '{"g":1,"mu":[3],"num":"27","den":"1"}\n'
+        '{"g":0,"mu":[2],"num":"1","den":"2"}\n'
+        '{"g":1,"mu":[1],"num":"0","den":"1"}\n'
+    )
+    assert cache_load(str(path)).entries == {
+        (0, (1,)): 1, (1, (3,)): 27, (0, (2,)): Fraction(1, 2), (1, (1,)): 0,
+    }
 
 
 def _reference_load(path):

@@ -350,6 +350,26 @@ def test_cache_key_that_is_not_a_hurwitz_key_exits_2(capsys, isolated_cache, arg
         assert fh.read() == before
 
 
+@pytest.mark.parametrize("argv", [("compute", "1", "3"), ("compute", "0", "2"), ("cache", "stats")])
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"g":1.5,"mu":[3],"num":"2_7","den":1}',
+        '{"g":true,"mu":[3],"num":"27","den":"1"}',
+        '{"g":1,"mu":[3],"num":"027","den":"1"}',
+        '{"g":1,"mu":[3],"num":"27","den":1}',
+    ],
+)
+def test_cache_line_that_save_could_not_have_written_exits_2(capsys, isolated_cache, argv, line):
+    with open(isolated_cache, "w", encoding="ascii") as fh:
+        fh.write(line + "\n")
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {isolated_cache}:1: malformed cache line: ") and "Traceback" not in err
+    with open(isolated_cache, encoding="ascii") as fh:
+        assert fh.read() == line + "\n"
+
+
 def _run_cli(*argv):
     """The CLI in a child process, so its lifted int/str digit limit stays there."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hurwitz.__file__)))

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -139,6 +140,85 @@ def test_counts_match_search_from_every_sigma(d, r_max):
             every, transitive = _counts_per_sigma(d, r, mu)
             assert count_covers_bruteforce(d, r, mu, connected=False) == every
             assert count_covers_bruteforce(d, r, mu, connected=True) == transitive
+
+
+def _search(r, start, lmul, hit, edges, d):
+    """Complete r-tuples whose product t_r ... t_1 is a hit, one call per node.
+
+    With `edges` given, a tuple also has to join all d points: s lies in the
+    group its transpositions generate, so s adds no orbit to test.
+    """
+    n_trans = len(lmul)
+    path = []
+
+    def joins_all_points():
+        parent = list(range(d))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        remaining = d
+        for t in path:
+            a, b = edges[t]
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                remaining -= 1
+        return remaining == 1
+
+    def rec(depth, prod_idx):
+        if depth == r:
+            if not hit[prod_idx]:
+                return 0
+            return 1 if edges is None or joins_all_points() else 0
+        count = 0
+        for t in range(n_trans):
+            path.append(t)
+            count += rec(depth + 1, lmul[t][prod_idx])
+            path.pop()
+        return count
+
+    return rec(0, start)
+
+
+@pytest.mark.parametrize("d,r_max", [(1, 5), (2, 5), (3, 5), (4, 5), (5, 5), (6, 3)])
+def test_counts_match_the_depth_first_search(d, r_max):
+    # With k the largest value such that C(d,2)^k <= 4096, this covers r = 0,
+    # r <= k (all of d <= 3 and d = 6) and r > k (d = 4, r = 5: k = 4;
+    # d = 5, r = 4, 5: k = 3).
+    edges = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    perms = list(permutations(range(d)))
+    index = {p: i for i, p in enumerate(perms)}
+    lmul = []
+    for a, b in edges:
+        swap = list(range(d))
+        swap[a], swap[b] = b, a
+        lmul.append([index[tuple(swap[x] for x in p)] for p in perms])
+    start = index[tuple(range(d))]
+    for mu in partitions_of(d):
+        hit = [cycle_type(p) == mu for p in perms]
+        for r in range(r_max + 1):
+            every = Fraction(_search(r, start, lmul, hit, None, d), factorial(d))
+            transitive = Fraction(_search(r, start, lmul, hit, edges, d), factorial(d))
+            assert count_covers_bruteforce(d, r, mu, connected=False) == every, (d, r, mu)
+            assert count_covers_bruteforce(d, r, mu, connected=True) == transitive, (d, r, mu)
+
+
+def test_last_levels_hold_at_most_4096_products():
+    # C(4,2)^7 = 279,936 tuples: one list of all their products would take
+    # about 2.2 MB, the 6^4 = 1296 products of the last levels about 10 kB.
+    count_covers_bruteforce(4, 7, (1, 1, 1, 1), connected=True)  # imports and warms up
+    tracemalloc.start()
+    try:
+        got = count_covers_bruteforce(4, 7, (1, 1, 1, 1), connected=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == 0  # r + d + len(mu) is odd
+    assert peak < 256 * 1024
 
 
 def test_tuple_parity_obstruction():
