@@ -26,31 +26,15 @@ class AuditRecord(NamedTuple):
     passed: bool
     detail: str = ""
 
-    def to_jsonable(self) -> dict:
-        return {
-            "label": self.label,
-            "g": self.g,
-            "mu": list(self.mu) if self.mu is not None else None,
-            "value": self.value,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
-
 
 class AuditReport:
     """Deterministic audit result: scope descriptor, per-key records, summary."""
 
-    def __init__(
-        self,
-        name: str,
-        scope: str,
-        records: list[AuditRecord] | None = None,
-        data: dict | None = None,
-    ):
+    def __init__(self, name: str, scope: str):
         self.name = name
         self.scope = scope
-        self.records: list[AuditRecord] = [] if records is None else records
-        self.data: dict = {} if data is None else data
+        self.records: list[AuditRecord] = []
+        self.data: dict = {}
 
     @property
     def failures(self) -> int:
@@ -66,7 +50,7 @@ class AuditReport:
             "scope": self.scope,
             "checked": len(self.records),
             "failures": self.failures,
-            "records": [rec.to_jsonable() for rec in self.records],
+            "records": [rec._asdict() for rec in self.records],
             "data": self.data,
         }
 

@@ -213,13 +213,16 @@ def disconnected_count_operator(d: int, r: int, mu: Iterable[int]) -> Fraction:
     """Weighted disconnected cover count as a coefficient of an operator power.
 
     Coefficient of p_mu in (1/d!) (cut-and-join)^r p_1^d; agrees with the
-    character-sum route on every input.
+    character-sum route on every input.  The powers below r are filled in
+    ascending order first, so no call recurses more than one level.
     """
     mu = as_partition(mu)
     if sum(mu) != d:
         raise ValueError(f"{mu} is not a partition of {d}")
     if r < 0:
         raise ValueError("r must be non-negative")
+    for s in range(r):
+        _operator_power(d, s)
     return _operator_power(d, r).coefficient(mu) / factorial(d)
 
 
@@ -375,9 +378,9 @@ def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with a warning flag.
 
     Each line is validated once and stored directly: a key that repeats with
-    a different value raises CacheConflictError, as `insert` would.  A
-    profile is refused exactly when `as_partition` would refuse it.  The
-    genus must be a JSON integer, and `num` and `den` strings equal to
+    a different value raises CacheConflictError, as `insert` would.  The
+    profile must be a JSON array of JSON integers that `as_partition` accepts,
+    the genus a JSON integer, and `num` and `den` strings equal to
     `str(int(text))` (no `+`, space, underscore or leading zero) with
     den > 0, so a line that `save` could not have written is refused rather
     than silently rewritten.
@@ -397,7 +400,10 @@ def cache_load(path: str) -> HurwitzCache:
                 g = rec["g"]
                 if type(g) is not int:
                     raise ValueError(f"genus is not an integer: {g!r}")
-                mu = tuple(map(int, rec["mu"]))
+                mu = rec["mu"]
+                if type(mu) is not list or any(type(p) is not int for p in mu):
+                    raise ValueError(f"profile is not a list of integers: {mu!r}")
+                mu = tuple(mu)
                 if mu and (mu[-1] < 1 or mu != tuple(sorted(mu, reverse=True))):
                     raise ValueError(f"not a partition: {mu!r}")
                 num_text, den_text = rec["num"], rec["den"]

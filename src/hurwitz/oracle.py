@@ -7,12 +7,11 @@ The equation fixes s as the inverse of t_r ... t_1, so the search enumerates
 the C(d,2)^r transposition tuples once and solves for s rather than searching
 for it: a tuple counts when its product has cycle type mu.
 
-The enumeration recurses depth first over the first r - k transpositions and
-expands the last k as one list of products per prefix, with k the largest
-value at most r such that C(d,2)^k <= _BLOCK = 4096; so no list holds more
-than 4096 products.  The search is deliberately naive all the same: no
-pruning, transitivity tested only on complete tuples, division by d! once at
-the end.
+One loop runs over the prefixes (t_1, ..., t_{r-k}) and expands the last k
+transpositions of each as one list of products, with k the largest value at
+most r such that C(d,2)^k <= _BLOCK = 4096; so no list holds more than 4096
+products.  The search is deliberately naive all the same: no pruning,
+transitivity tested only on complete tuples, division by d! once at the end.
 """
 
 from __future__ import annotations
@@ -62,10 +61,11 @@ def count_covers_bruteforce(
 
     Every tuple (t_1, ..., t_r) of transpositions is enumerated once; s is
     solved for as the inverse of t_r ... t_1, which has the product's cycle
-    type, so the tuple counts when that product has cycle type mu.  Each
-    prefix (t_1, ..., t_{r-k}) of the depth-first search expands its last k
-    levels into a list of at most 4096 products, in the order in which
-    `itertools.product` lists the suffixes (t_{r-k+1}, ..., t_r); a connected
+    type, so the tuple counts when that product has cycle type mu.  The
+    prefixes (t_1, ..., t_{r-k}) come from `itertools.product`, each one's
+    product read off by r - k table lookups from the identity; its last k
+    levels expand into a list of at most 4096 products, in the order in which
+    `itertools.product` lists the suffixes (t_{r-k+1}, ..., t_r).  A connected
     count tests each hit's complete tuple for transitivity.
 
     Refuses (rather than truncates) when class size times C(d,2)^r, plus the
@@ -104,7 +104,6 @@ def count_covers_bruteforce(
     k = 0
     while k < r and n_trans ** (k + 1) <= _BLOCK:
         k += 1
-    path: list[int] = []
 
     def joins_all_points(edge_ids) -> bool:
         # Union-find over the points; s lies in the group the transpositions
@@ -122,25 +121,21 @@ def count_covers_bruteforce(
                 remaining -= 1
         return remaining == 1
 
-    def rec(depth: int, prod_idx: int) -> int:
-        if depth == r - k:
-            # The last k levels: every product t_r ... t_1 below this prefix,
-            # in the order itertools.product lists their transpositions.
-            frontier = [prod_idx]
-            for _ in range(k):
-                frontier = [row[p] for p in frontier for row in lmul]
-            if not connected:
-                return sum(map(hit.__getitem__, frontier))
-            count = 0
-            for p, suffix in zip(frontier, product(range(n_trans), repeat=k)):
-                if hit[p] and joins_all_points((*path, *suffix)):
-                    count += 1
-            return count
-        count = 0
-        for t in range(n_trans):
-            path.append(t)
-            count += rec(depth + 1, lmul[t][prod_idx])
-            path.pop()
-        return count
-
-    return Fraction(rec(0, index[tuple(range(d))]), factorial(d))
+    identity = index[tuple(range(d))]
+    count = 0
+    for prefix in product(range(n_trans), repeat=r - k):
+        prod_idx = identity
+        for t in prefix:
+            prod_idx = lmul[t][prod_idx]
+        # The last k levels: every product t_r ... t_1 after this prefix, in
+        # the order itertools.product lists their transpositions.
+        frontier = [prod_idx]
+        for _ in range(k):
+            frontier = [row[q] for q in frontier for row in lmul]
+        if not connected:
+            count += sum(map(hit.__getitem__, frontier))
+            continue
+        for q, suffix in zip(frontier, product(range(n_trans), repeat=k)):
+            if hit[q] and joins_all_points(prefix + suffix):
+                count += 1
+    return Fraction(count, factorial(d))

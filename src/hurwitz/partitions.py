@@ -37,17 +37,16 @@ def sort_to_partition(k: Iterable[int]) -> Partition:
     return t
 
 
-def partitions_of(n: int, max_part: int | None = None, max_len: int | None = None) -> list[Partition]:
+def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
     """All partitions of n in reverse-lexicographic order.
 
-    Only partitions with every part at most max_part and at most max_len
-    parts are listed, when those bounds are given.  The order is the
-    canonical enumeration order throughout the package so that derived
-    artifacts (caches, reports, tables) are byte-stable.
+    Only partitions with at most max_len parts are listed, when that bound is
+    given.  The order is the canonical enumeration order throughout the
+    package so that derived artifacts (caches, reports, tables) are
+    byte-stable.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    cap = n if max_part is None else max_part
     length = n if max_len is None else max_len
     if length < 0:
         return []
@@ -72,7 +71,7 @@ def partitions_of(n: int, max_part: int | None = None, max_len: int | None = Non
             memo[key] = out
         return out
 
-    return build(n, cap, length)
+    return build(n, n, length)
 
 
 def centralizer_order(lam: Sequence[int]) -> int:

@@ -63,9 +63,6 @@ class PowerSumPoly:
     def coefficient(self, mu: Iterable[int]) -> Fraction:
         return self.terms.get(tuple(sorted(mu, reverse=True)), Fraction(0))
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSumPoly):
             return NotImplemented
@@ -82,14 +79,6 @@ class PowerSumPoly:
         res = PowerSumPoly.zero()
         res.terms = out
         return res
-
-    def __neg__(self) -> "PowerSumPoly":
-        res = PowerSumPoly.zero()
-        res.terms = {mu: -c for mu, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "PowerSumPoly") -> "PowerSumPoly":
-        return self + (-other)
 
     def __mul__(self, other: "PowerSumPoly | Scalar") -> "PowerSumPoly":
         if isinstance(other, (int, Fraction)):
@@ -154,9 +143,7 @@ def _strip_removals(lam: Partition, size: int):
         if c < 0 or c in occupied:
             continue
         height = sum(1 for x in beta if c < x < b)
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(c)
-        new_beta.sort(reverse=True)
+        new_beta = sorted([x for x in beta if x != b] + [c], reverse=True)
         parts = tuple(
             v - (rows - 1 - i) for i, v in enumerate(new_beta) if v - (rows - 1 - i) > 0
         )
@@ -211,7 +198,7 @@ def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
     parts may be joined into their sum.  All resulting coefficients are
     integers, so the image of an integral polynomial stays integral.
     """
-    acc: dict[Partition, Fraction] = {}
+    acc: dict[Partition, Scalar] = {}
     for mu, coeff in poly.terms.items():
         m = Counter(mu)
         values = sorted(m)
@@ -222,25 +209,25 @@ def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
             base.remove(v)
             for k in range(1, v // 2 + 1):
                 l = v - k
-                factor = Fraction(v * mult) if k != l else Fraction(v * mult, 2)
+                factor = v * mult if k != l else k * mult
                 key = tuple(sorted(base + [k, l], reverse=True))
-                acc[key] = acc.get(key, Fraction(0)) + coeff * factor
+                acc[key] = acc.get(key, 0) + coeff * factor
         # join: replace an unordered pair of parts {a, b} by a+b
         for ai, a in enumerate(values):
             for b in values[ai:]:
                 if a == b:
                     if m[a] < 2:
                         continue
-                    factor = Fraction(a * a * m[a] * (m[a] - 1), 2)
+                    factor = a * a * (m[a] * (m[a] - 1) // 2)
                     removed = [a, a]
                 else:
-                    factor = Fraction(a * b * m[a] * m[b])
+                    factor = a * b * m[a] * m[b]
                     removed = [a, b]
                 base = list(mu)
                 for x in removed:
                     base.remove(x)
                 key = tuple(sorted(base + [a + b], reverse=True))
-                acc[key] = acc.get(key, Fraction(0)) + coeff * factor
+                acc[key] = acc.get(key, 0) + coeff * factor
     out = PowerSumPoly.zero()
     out.terms = {k: v for k, v in acc.items() if v}
     return out

@@ -155,21 +155,26 @@ def _reference_load(path):
 @pytest.mark.parametrize(
     "mu",
     [
-        [2, 1], [3, 3, 1], [], ["2", "1"], [2.0, 1],  # accepted
+        [2, 1], [3, 3, 1], [],  # accepted
         [1, 2], [2, 1, 2],  # ascending
         [0], [2, 0], [3, 1, 0],  # zero
         [-1], [2, -1],  # negative
+        ["2", "1"], [2.0, 1], [True], "21", {"2": 0, "1": 0},  # not a list of integers
         [""], [2, ""],  # empty string
         ["x"], [2, "1.5"], [None], 7,  # not numeric
     ],
 )
 def test_load_refuses_exactly_the_profiles_as_partition_refuses(tmp_path, mu):
+    # `save` writes a profile as a JSON array of JSON integers, so any other
+    # JSON value is refused before `as_partition` sees it.
     path = tmp_path / "c.jsonl"
     line = json.dumps({"g": 1, "mu": mu, "num": "1", "den": "1"})
     path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n' + line + "\n")
     try:
-        expected = as_partition(map(int, mu))
-    except (TypeError, ValueError) as exc:
+        if type(mu) is not list or any(type(p) is not int for p in mu):
+            raise ValueError(f"profile is not a list of integers: {mu!r}")
+        expected = as_partition(mu)
+    except ValueError as exc:
         with pytest.raises(ValueError) as info:
             cache_load(str(path))
         assert str(info.value) == f"{path}:2: malformed cache line: {exc}"

@@ -69,6 +69,13 @@ def test_disconnected_operator_examples():
     assert disconnected_count_operator(3, 2, (3,)) == 1
 
 
+def test_disconnected_operator_at_a_branch_count_beyond_the_recursion_limit():
+    engine._operator_power.cache_clear()
+    # The image alternates p_1^2 -> p_2 -> p_1^2, and p_1 maps to zero.
+    assert disconnected_count_operator(2, 1201, (2,)) == Fraction(1, 2)
+    assert disconnected_count_operator(1, 1200, (1,)) == 0
+
+
 def test_disconnected_methods_agree():
     for d in range(1, 7):
         for mu in partitions_of(d):
