@@ -277,15 +277,11 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_cache(flag_value: str | None) -> HurwitzCache:
-    """Load the cache and refuse any key with g < 0 or an empty mu, and any
-    value the integrality theorem rules out."""
+    """Load the cache (`cache_load` refuses keys that are not Hurwitz keys) and
+    refuse any value the integrality theorem rules out."""
     path = flag_value or default_cache_path()
     cache = cache_load(path)
     for (g, mu), value in cache.entries.items():
-        if g < 0 or not mu:
-            raise ValueError(
-                f"{path}: cached key g={g}, mu=({format_partition(mu)}) is not a Hurwitz key"
-            )
         _, ok = analysis.integrality_check(g, mu, value)
         if not ok:
             raise ValueError(

@@ -296,7 +296,7 @@ class CacheConflictError(ValueError):
 def _cache_sort_key(item: tuple[tuple[int, Partition], Fraction]):
     (g, mu), _ = item
     r = 2 * g - 2 + len(mu) + sum(mu)
-    return (r, g, sum(mu), tuple(-p for p in mu))
+    return (r, g, sum(mu), [-p for p in mu])
 
 
 class HurwitzCache:
@@ -318,6 +318,9 @@ class HurwitzCache:
         # 2 * value of every entry `hurwitz_number` has computed or read; entries
         # are never changed once inserted, so a stored 2h cannot go stale.
         self._twice: dict[tuple[int, Partition], int] = {}
+        # (sub-multiset, part) -> the split child's profile, for `_ledger`;
+        # threads sharing the cache store equal profiles for a key.
+        self._grown: dict[tuple[Partition, int], Partition] = {}
 
     def get(self, g: int, mu: Partition) -> Fraction | None:
         return self.entries.get((g, mu))
@@ -383,7 +386,8 @@ def cache_load(path: str) -> HurwitzCache:
     the genus a JSON integer, and `num` and `den` strings equal to
     `str(int(text))` (no `+`, space, underscore or leading zero) with
     den > 0, so a line that `save` could not have written is refused rather
-    than silently rewritten.
+    than silently rewritten.  A key with g < 0 or an empty profile is not a
+    Hurwitz key and is refused too; the first offending line is reported.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
@@ -414,6 +418,10 @@ def cache_load(path: str) -> HurwitzCache:
                     raise ValueError("denominator must be positive")
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
+            if g < 0 or not mu:
+                raise ValueError(
+                    f"{path}: cached key g={g}, mu=({','.join(map(str, mu))}) is not a Hurwitz key"
+                )
             value = Fraction(num, den)
             old = entries.setdefault((g, mu), value)
             if old is not value and old != value:
@@ -430,7 +438,7 @@ def cache_load(path: str) -> HurwitzCache:
 LedgerTerm = tuple[str, int, tuple[tuple[int, Partition], ...], int | None]
 
 
-def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
+def _ledger(g: int, lam: Partition, grown: dict[tuple[Partition, int], Partition] | None = None) -> list[LedgerTerm]:
     """Collapsed coefficient families of the recursion at a valid key (g, lam).
 
     The value at (g, lam) is the sum over these terms of the coefficient
@@ -443,6 +451,11 @@ def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
       disconnecting cut:  eps (m_alpha(l)+1)(m_beta(n)+1)(alpha beta / 2) binom(r-1, r1)
     with eps = 1 exactly when both factors coincide (then the binomial is a
     central binomial, hence even).
+
+    A split child's profile is a sub-multiset of lam's parts grown by one
+    part; `grown` maps (sub-multiset, part) to that profile, so each is
+    sorted once per table.  `hurwitz_number` passes its cache's table;
+    without one, a fresh table is used.
     """
     r = 2 * g - 2 + len(lam) + sum(lam)
     m = Counter(lam)
@@ -478,22 +491,30 @@ def _ledger(g: int, lam: Partition) -> list[LedgerTerm]:
     # parts plus alpha, the other the complement n plus beta; the swap of the
     # two sides is collapsed into eps.  A side (g1, alpha, l) is kept when it
     # does not exceed its mirror (g - g1, beta, n): always for g1 < g/2, never
-    # for g1 > g/2, and by comparing (alpha, l) with (beta, n) at g1 = g/2.
+    # for g1 > g/2, and by comparing (alpha, l) with (beta, n) at g1 = g/2;
+    # so at g = 0, where g1 = g/2 is the only side, alpha stops at a // 2.
     # A split reads the binomial at index 2 g1 + r1_base + alpha, which is at
     # most g + len(lam) + |lam| - 3; a key with no part of 2 or more has none.
     binomials = []
     if lam[0] > 1:
         binomials = [comb(r - 1, k) for k in range(g + len(lam) + sum(lam) - 2)]
+    if grown is None:
+        grown = {}
     for a in values:
         rest = _replace(lam, (a,), ())
         for l_multiset, n_multiset in _complementary_pairs(rest):
             # the branch count of (g1, l + alpha) is 2 g1 + r1_base + alpha
             r1_base = len(l_multiset) - 1 + sum(l_multiset)
-            for alpha in range(1, a):
+            for alpha in range(1, a if g else a // 2 + 1):
                 beta = a - alpha
-                lp = tuple(sorted(l_multiset + (alpha,), reverse=True))
-                np_ = tuple(sorted(n_multiset + (beta,), reverse=True))
-                weight = (l_multiset.count(alpha) + 1) * (n_multiset.count(beta) + 1) * alpha * beta
+                lp = grown.get((l_multiset, alpha)) or grown.setdefault(
+                    (l_multiset, alpha), tuple(sorted(l_multiset + (alpha,), reverse=True))
+                )
+                np_ = grown.get((n_multiset, beta)) or grown.setdefault(
+                    (n_multiset, beta), tuple(sorted(n_multiset + (beta,), reverse=True))
+                )
+                # lp holds m_alpha(l) + 1 copies of alpha, np_ m_beta(n) + 1 of beta
+                weight = lp.count(alpha) * np_.count(beta) * alpha * beta
                 for g1 in range((g + 1) // 2):
                     binomial = binomials[2 * g1 + r1_base + alpha]
                     terms.append(("split", 2 * weight * binomial, ((g1, lp), (g - g1, np_)), binomial))
@@ -564,6 +585,7 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
     if (g, lam) in known:
         return known[(g, lam)]
     twice_h = store._twice
+    grown = store._grown
     # (key, its terms once built); a key is summed as soon as every child has
     # a 2h, and otherwise pushed back beneath its missing children.
     stack: list[tuple[tuple[int, Partition], list[LedgerTerm] | None]] = [((g, lam), None)]
@@ -581,7 +603,7 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
                 store.dirty = True
                 twice_h[key] = 2
                 continue
-            terms = _ledger(*key)
+            terms = _ledger(key[0], key[1], grown)
         eight_h = 0
         try:
             for _, twice, children, _ in terms:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,7 +156,8 @@ def _reference_load(path):
 @pytest.mark.parametrize(
     "mu",
     [
-        [2, 1], [3, 3, 1], [],  # accepted
+        [2, 1], [3, 3, 1],  # accepted
+        [],  # a partition, but not of a Hurwitz key
         [1, 2], [2, 1, 2],  # ascending
         [0], [2, 0], [3, 1, 0],  # zero
         [-1], [2, -1],  # negative
@@ -179,7 +181,38 @@ def test_load_refuses_exactly_the_profiles_as_partition_refuses(tmp_path, mu):
             cache_load(str(path))
         assert str(info.value) == f"{path}:2: malformed cache line: {exc}"
     else:
-        assert list(cache_load(str(path)).entries.items()) == [((0, (1,)), 1), ((1, expected), 1)]
+        if not expected:
+            with pytest.raises(ValueError) as info:
+                cache_load(str(path))
+            assert str(info.value) == f"{path}: cached key g=1, mu=() is not a Hurwitz key"
+        else:
+            assert list(cache_load(str(path)).entries.items()) == [((0, (1,)), 1), ((1, expected), 1)]
+
+
+@pytest.mark.parametrize("g, mu", [(-1, [2]), (-3, [1, 1]), (0, [])])
+def test_load_refuses_a_key_that_is_not_a_hurwitz_key(tmp_path, g, mu):
+    # The value 1/2 passes every value check, so only the key is at fault.
+    path = tmp_path / "c.jsonl"
+    line = json.dumps({"g": g, "mu": mu, "num": "1", "den": "2"}, separators=(",", ":"))
+    path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n' + line + "\n")
+    with pytest.raises(ValueError) as info:
+        cache_load(str(path))
+    mu_text = ",".join(map(str, mu))
+    assert str(info.value) == f"{path}: cached key g={g}, mu=({mu_text}) is not a Hurwitz key"
+
+
+def test_load_reports_the_first_offending_line_in_file_order(tmp_path):
+    path = tmp_path / "c.jsonl"
+    key = '{"g":-1,"mu":[2],"num":"1","den":"2"}\n'
+    malformed = '{"g":0,"mu":[1,2],"num":"1","den":"1"}\n'
+    path.write_text(key + malformed)
+    with pytest.raises(ValueError) as info:
+        cache_load(str(path))
+    assert str(info.value) == f"{path}: cached key g=-1, mu=(2) is not a Hurwitz key"
+    path.write_text(malformed + key)
+    with pytest.raises(ValueError) as info:
+        cache_load(str(path))
+    assert str(info.value) == f"{path}:1: malformed cache line: not a partition: (1, 2)"
 
 
 def test_load_matches_the_plain_reader_on_every_key_up_to_branch_count_18(tmp_path):
@@ -232,10 +265,10 @@ def test_save_is_byte_stable_and_order_independent(tmp_path):
     for g, mu, v in reversed(entries):
         b.insert(g, mu, v)
     b.save(p2)
-    data1 = open(p1, "rb").read()
-    assert data1 == open(p2, "rb").read()
+    data1 = Path(p1).read_bytes()
+    assert data1 == Path(p2).read_bytes()
     a.save(p1)  # repeated save identical
-    assert open(p1, "rb").read() == data1
+    assert Path(p1).read_bytes() == data1
 
 
 def test_file_format_fields(tmp_path):
@@ -243,7 +276,7 @@ def test_file_format_fields(tmp_path):
     cache = HurwitzCache()
     cache.insert(0, (2,), Fraction(1, 2))
     cache.save(path)
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])
     assert rec == {"g": 0, "mu": [2], "num": "1", "den": "2"}
@@ -269,7 +302,7 @@ def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
             (6, (4, 3, 3, 1), Fraction(10**29 + 7)),
         ]
     ]
-    assert open(path, encoding="ascii").read().splitlines() == expected
+    assert Path(path).read_text(encoding="ascii").splitlines() == expected
 
 
 def test_sort_order_is_by_branch_count_then_genus(tmp_path):
@@ -280,7 +313,8 @@ def test_sort_order_is_by_branch_count_then_genus(tmp_path):
     cache.insert(0, (2,), Fraction(1, 2))  # r = 1
     cache.insert(0, (1, 1), Fraction(1, 2))  # r = 2
     cache.save(path)
-    keys = [(json.loads(line)["g"], tuple(json.loads(line)["mu"])) for line in open(path)]
+    lines = Path(path).read_text().splitlines()
+    keys = [(json.loads(line)["g"], tuple(json.loads(line)["mu"])) for line in lines]
     assert keys == [(0, (1,)), (0, (2,)), (0, (1, 1)), (1, (1,))]
 
 

@@ -265,6 +265,20 @@ def test_recursion_inserts_exactly_the_reachable_keys():
     assert len(cache) == 151
 
 
+def test_a_shared_grown_table_gives_the_ledgers_of_fresh_ones():
+    grown = {}
+    for g, mu in keys_with_ramification_at_most(16):
+        assert engine._ledger(g, mu, grown) == engine._ledger(g, mu), (g, mu)
+    # every entry is its sub-multiset grown by its part, sorted
+    assert all(prof == tuple(sorted(sub + (p,), reverse=True)) for (sub, p), prof in grown.items())
+
+
+def test_grown_table_size_after_the_parity_scan_to_branch_count_10():
+    cache = engine.HurwitzCache()
+    parity_scan(10, cache)
+    assert len(cache._grown) == 97
+
+
 @given(st.randoms(use_true_random=False))
 @settings(deadline=None, max_examples=25)
 def test_hurwitz_is_permutation_invariant(rng):
