@@ -25,6 +25,7 @@ from .partitions import (
     as_partition,
     centralizer_order,
     content_sum,
+    cover_args,
     dim_irrep,
     partitions_of,
     ramification,
@@ -153,12 +154,8 @@ def _mul_coeffs(
                 if r > r_max:
                     continue
                 key = (d1 + d2, r, tuple(sorted(mu1 + mu2, reverse=True)))
-                s = out.get(key, Fraction(0)) + comb(r, r1) * c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return out
+                out[key] = out.get(key, 0) + comb(r, r1) * c1 * c2
+    return {key: c for key, c in out.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +166,7 @@ def disconnected_count_charsum(d: int, r: int, mu: Iterable[int]) -> Fraction:
 
     Sum over lam of d of (dim lam / d!) (content_sum lam)^r chi^lam_mu / z_mu.
     """
-    mu = as_partition(mu)
-    if sum(mu) != d or d < 1:
-        raise ValueError(f"{mu} is not a partition of {d} >= 1")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    mu = cover_args(d, r, mu)
     return _charsum_counts(_irreps(d), mu, (r,))[0]
 
 
@@ -216,11 +209,7 @@ def disconnected_count_operator(d: int, r: int, mu: Iterable[int]) -> Fraction:
     character-sum route on every input.  The powers below r are filled in
     ascending order first, so no call recurses more than one level.
     """
-    mu = as_partition(mu)
-    if sum(mu) != d:
-        raise ValueError(f"{mu} is not a partition of {d}")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    mu = cover_args(d, r, mu)
     for s in range(r):
         _operator_power(d, s)
     return _operator_power(d, r).coefficient(mu) / factorial(d)
@@ -326,7 +315,12 @@ class HurwitzCache:
         return self.entries.get((g, mu))
 
     def insert(self, g: int, mu: Partition, value: Fraction) -> None:
+        """Store a value; refuses a key that `cache_load` would refuse."""
+        if type(g) is not int:
+            raise ValueError(f"genus is not an integer: {g!r}")
         key = (g, as_partition(mu))
+        if g < 0 or not key[1]:
+            raise ValueError(_not_a_hurwitz_key(g, key[1]))
         value = Fraction(value)
         old = self.entries.get(key)
         if old is None:
@@ -377,6 +371,10 @@ class HurwitzCache:
         return path
 
 
+def _not_a_hurwitz_key(g: int, mu: Partition) -> str:
+    return f"cached key g={g}, mu=({','.join(map(str, mu))}) is not a Hurwitz key"
+
+
 def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with a warning flag.
 
@@ -386,8 +384,9 @@ def cache_load(path: str) -> HurwitzCache:
     the genus a JSON integer, and `num` and `den` strings equal to
     `str(int(text))` (no `+`, space, underscore or leading zero) with
     den > 0, so a line that `save` could not have written is refused rather
-    than silently rewritten.  A key with g < 0 or an empty profile is not a
-    Hurwitz key and is refused too; the first offending line is reported.
+    than silently rewritten; so are a fraction not in lowest terms and a
+    record with any other field.  A key with g < 0 or an empty profile is not
+    a Hurwitz key and is refused too; the first offending line is reported.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
@@ -416,13 +415,15 @@ def cache_load(path: str) -> HurwitzCache:
                     raise ValueError(f"num {num_text!r}, den {den_text!r}: not canonical decimal strings")
                 if den <= 0:
                     raise ValueError("denominator must be positive")
+                value = Fraction(num, den)
+                if value.denominator != den:
+                    raise ValueError(f"{num}/{den} is not in lowest terms")
+                if len(rec) != 4:
+                    raise ValueError(f"unexpected fields: {sorted(rec.keys() - {'g', 'mu', 'num', 'den'})}")
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
             if g < 0 or not mu:
-                raise ValueError(
-                    f"{path}: cached key g={g}, mu=({','.join(map(str, mu))}) is not a Hurwitz key"
-                )
-            value = Fraction(num, den)
+                raise ValueError(f"{path}: {_not_a_hurwitz_key(g, mu)}")
             old = entries.setdefault((g, mu), value)
             if old is not value and old != value:
                 raise CacheConflictError(f"cache conflict at g={g}, mu={mu}: {old} != {value}")
@@ -501,8 +502,13 @@ def _ledger(g: int, lam: Partition, grown: dict[tuple[Partition, int], Partition
     if grown is None:
         grown = {}
     for a in values:
-        rest = _replace(lam, (a,), ())
-        for l_multiset, n_multiset in _complementary_pairs(rest):
+        # every sub-multiset l of the parts beside a, paired with its
+        # complement n, by how many copies l takes of each value, largest first
+        pairs = [((), ())]
+        for v in values:
+            k = m[v] - (v == a)
+            pairs = [(sub + (v,) * take, co + (v,) * (k - take)) for sub, co in pairs for take in range(k + 1)]
+        for l_multiset, n_multiset in pairs:
             # the branch count of (g1, l + alpha) is 2 g1 + r1_base + alpha
             r1_base = len(l_multiset) - 1 + sum(l_multiset)
             for alpha in range(1, a if g else a // 2 + 1):
@@ -533,22 +539,6 @@ def _replace(lam: Partition, remove: tuple[int, ...], add: tuple[int, ...]) -> P
     for x in remove:
         parts.remove(x)
     return tuple(sorted(parts + list(add), reverse=True))
-
-
-def _complementary_pairs(parts: Partition) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every sub-multiset of parts, once each, paired with its complement.
-
-    Both are descending tuples; the sub-multisets come in a fixed order, by
-    how many copies they take of each value, largest value first.
-    """
-    pairs: list[tuple[tuple[int, ...], tuple[int, ...]]] = [((), ())]
-    for v, mult in sorted(Counter(parts).items(), reverse=True):
-        pairs = [
-            (sub + (v,) * take, co + (v,) * (mult - take))
-            for sub, co in pairs
-            for take in range(mult + 1)
-        ]
-    return pairs
 
 
 def _twice_value(key: tuple[int, Partition], value: Fraction) -> int:

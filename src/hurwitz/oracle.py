@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 
-from .partitions import Partition, as_partition, conj_class_size
+from .partitions import Partition, conj_class_size, cover_args
 
 Perm = tuple[int, ...]
 
@@ -73,11 +73,7 @@ def count_covers_bruteforce(
     upper bound on the search, kept as the refusal rule so that the same
     inputs are refused as by a search from every s in the class.
     """
-    mu = as_partition(mu)
-    if sum(mu) != d or d < 1:
-        raise ValueError(f"{mu} is not a partition of {d} >= 1")
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    mu = cover_args(d, r, mu)
     work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
     if work > work_bound:
         raise WorkBoundExceeded(

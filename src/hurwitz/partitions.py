@@ -16,7 +16,7 @@ Partition = tuple[int, ...]
 
 def is_partition(parts: Sequence[int]) -> bool:
     """True iff parts is weakly decreasing with all entries >= 1."""
-    return all(isinstance(p, int) and p >= 1 for p in parts) and all(
+    return all(type(p) is int and p >= 1 for p in parts) and all(
         parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
     )
 
@@ -29,10 +29,24 @@ def as_partition(parts: Iterable[int]) -> Partition:
     return t
 
 
+def cover_args(d: int, r: int, mu: Iterable[int]) -> Partition:
+    """Check the arguments of a cover count and return mu as a partition.
+
+    The cover counts are defined for d >= 1 points, a profile mu of d and
+    r >= 0 simple branch points.
+    """
+    mu = as_partition(mu)
+    if sum(mu) != d or d < 1:
+        raise ValueError(f"{mu} is not a partition of {d} >= 1")
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    return mu
+
+
 def sort_to_partition(k: Iterable[int]) -> Partition:
     """Canonical partition underlying a multi-index (descending sort)."""
     t = tuple(sorted(k, reverse=True))
-    if not all(isinstance(p, int) and p >= 1 for p in t):
+    if not all(type(p) is int and p >= 1 for p in t):
         raise ValueError(f"not a multi-index of positive integers: {t!r}")
     return t
 
@@ -132,6 +146,8 @@ def ramification(g: int, k: Sequence[int]) -> int:
     The empty profile is rejected: the covering theory indexes nonempty
     ramification profiles only.
     """
+    if type(g) is not int:
+        raise ValueError(f"genus is not an integer: {g!r}")
     if g < 0:
         raise ValueError("genus must be non-negative")
     k = tuple(k)

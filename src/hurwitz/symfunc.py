@@ -71,13 +71,9 @@ class PowerSumPoly:
     def __add__(self, other: "PowerSumPoly") -> "PowerSumPoly":
         out = dict(self.terms)
         for mu, c in other.terms.items():
-            s = out.get(mu, Fraction(0)) + c
-            if s:
-                out[mu] = s
-            else:
-                out.pop(mu, None)
+            out[mu] = out.get(mu, 0) + c
         res = PowerSumPoly.zero()
-        res.terms = out
+        res.terms = {mu: c for mu, c in out.items() if c}
         return res
 
     def __mul__(self, other: "PowerSumPoly | Scalar") -> "PowerSumPoly":
@@ -92,13 +88,9 @@ class PowerSumPoly:
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
                 key = tuple(sorted(mu + nu, reverse=True))
-                s = out.get(key, Fraction(0)) + a * b
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + a * b
         res = PowerSumPoly.zero()
-        res.terms = out
+        res.terms = {mu: c for mu, c in out.items() if c}
         return res
 
     __rmul__ = __mul__

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 from hurwitz import CacheConflictError, HurwitzCache, cache_load, hurwitz_number
 from hurwitz.analysis import keys_with_ramification_at_most
-from hurwitz.partitions import as_partition
+from hurwitz.partitions import as_partition, ramification
 
 
 def test_insert_get_and_idempotence():
@@ -127,6 +127,46 @@ def test_load_accepts_the_lines_save_writes(tmp_path):
     assert cache_load(str(path)).entries == {
         (0, (1,)): 1, (1, (3,)): 27, (0, (2,)): Fraction(1, 2), (1, (1,)): 0,
     }
+
+
+@pytest.mark.parametrize(
+    "line, fault",
+    [
+        ('{"g":0,"mu":[2],"num":"2","den":"4"}', "2/4 is not in lowest terms"),
+        ('{"g":1,"mu":[1],"num":"0","den":"5"}', "0/5 is not in lowest terms"),
+        ('{"g":0,"mu":[2],"num":"1","den":"2","x":1,"a":[]}', "unexpected fields: ['a', 'x']"),
+    ],
+)
+def test_load_names_a_reducible_fraction_or_an_extra_field(tmp_path, line, fault):
+    path = tmp_path / "c.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(ValueError) as info:
+        cache_load(str(path))
+    assert str(info.value) == f"{path}:1: malformed cache line: {fault}"
+
+
+def test_load_accepts_any_spacing_and_key_order(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{ "den": "2",  "mu": [ 2 ], "num": "1", "g": 0 }\n{"g": 1, "mu": [3], "num": "27", "den": "1"}\n')
+    assert cache_load(str(path)).entries == {(0, (2,)): Fraction(1, 2), (1, (3,)): 27}
+
+
+@pytest.mark.parametrize(
+    "g, mu, message",
+    [
+        (True, (2,), "genus is not an integer: True"),
+        (1.5, (3,), "genus is not an integer: 1.5"),
+        (-1, (2,), "cached key g=-1, mu=(2) is not a Hurwitz key"),
+        (0, (), "cached key g=0, mu=() is not a Hurwitz key"),
+        (0, (True,), "not a partition: (True,)"),
+    ],
+)
+def test_insert_refuses_a_key_that_load_refuses(g, mu, message):
+    cache = HurwitzCache()
+    with pytest.raises(ValueError) as info:
+        cache.insert(g, mu, Fraction(1, 2))
+    assert str(info.value) == message
+    assert cache.entries == {} and not cache.dirty
 
 
 def _reference_load(path):
@@ -348,3 +388,19 @@ def test_recursion_reuses_persisted_values(tmp_path):
     n_before = len(warm)
     assert hurwitz_number(2, (2, 1), warm) == 364
     assert len(warm) == n_before  # nothing recomputed, nothing new inserted
+
+
+def test_a_loaded_cache_feeds_the_recursion(tmp_path):
+    # Every child of an r = 10 key has r <= 9, so each is read from the loaded
+    # file as 2h, integral values included, and none is recomputed.
+    path = str(tmp_path / "cache.jsonl")
+    cold = HurwitzCache()
+    for g, mu in keys_with_ramification_at_most(9):
+        hurwitz_number(g, mu, cold)
+    cold.save(path)
+    warm = cache_load(path)
+    fresh = HurwitzCache()
+    top = [(g, mu) for g, mu in keys_with_ramification_at_most(10) if ramification(g, mu) == 10]
+    for g, mu in top:
+        assert hurwitz_number(g, mu, warm) == hurwitz_number(g, mu, fresh), (g, mu)
+    assert len(warm) == len(cold) + len(top)

@@ -390,6 +390,8 @@ def test_cache_key_that_is_not_a_hurwitz_key_exits_2(capsys, isolated_cache, arg
         '{"g":1,"mu":[3],"num":"27","den":1}',
         '{"g":1,"mu":"21","num":"40","den":"1"}',
         '{"g":1,"mu":["2","1"],"num":"40","den":"1"}',
+        '{"g":0,"mu":[2],"num":"2","den":"4"}',
+        '{"g":1,"mu":[3],"num":"27","den":"1","x":1}',
     ],
 )
 def test_cache_line_that_save_could_not_have_written_exits_2(capsys, isolated_cache, argv, line):

@@ -9,6 +9,7 @@ import hurwitz.engine as engine
 import hurwitz.symfunc as symfunc
 from hurwitz import (
     connected_from_log,
+    count_covers_bruteforce,
     disconnected_count_charsum,
     disconnected_count_operator,
     hurwitz_number,
@@ -67,6 +68,24 @@ def test_disconnected_operator_examples():
     assert disconnected_count_operator(2, 1, (2,)) == Fraction(1, 2)
     assert disconnected_count_operator(2, 1, (1, 1)) == 0
     assert disconnected_count_operator(3, 2, (3,)) == 1
+
+
+@pytest.mark.parametrize("d, r, mu", [(0, 0, ()), (3, 1, (2,))])
+def test_the_three_cover_counts_refuse_the_same_arguments(d, r, mu):
+    messages = set()
+    for count in (disconnected_count_charsum, disconnected_count_operator, count_covers_bruteforce):
+        with pytest.raises(ValueError) as info:
+            count(d, r, mu)
+        messages.add(str(info.value))
+    assert messages == {f"{mu} is not a partition of {d} >= 1"}
+
+
+@pytest.mark.parametrize("g, mu", [(True, (2,)), (1.0, (2,)), (0, [True, True, True]), (0, (2, True))])
+def test_hurwitz_number_refuses_a_key_that_is_not_made_of_ints(g, mu):
+    cache = engine.HurwitzCache()
+    with pytest.raises(ValueError):
+        hurwitz_number(g, mu, cache)
+    assert cache.entries == {} and not cache.dirty
 
 
 def test_disconnected_operator_at_a_branch_count_beyond_the_recursion_limit():

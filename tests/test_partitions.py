@@ -14,7 +14,7 @@ from hurwitz import (
     ramification,
     sort_to_partition,
 )
-from hurwitz.partitions import as_partition, is_partition
+from hurwitz.partitions import as_partition, cover_args, is_partition
 
 
 def brute_partitions(n):
@@ -158,7 +158,7 @@ def test_ramification():
     assert ramification(0, (2,)) == 1
     with pytest.raises(ValueError):
         ramification(0, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^genus must be non-negative$"):
         ramification(-1, (2,))
     with pytest.raises(ValueError):
         ramification(0, (2, 0))
@@ -170,6 +170,37 @@ def test_sort_to_partition():
     assert sort_to_partition((2, 2)) == (2, 2)
     with pytest.raises(ValueError):
         sort_to_partition((2, -1))
+
+
+@pytest.mark.parametrize("g", [True, False, 1.0, "1"])
+def test_ramification_refuses_a_genus_that_is_not_an_int(g):
+    with pytest.raises(ValueError) as info:
+        ramification(g, (2,))
+    assert str(info.value) == f"genus is not an integer: {g!r}"
+
+
+@pytest.mark.parametrize("parts", [(True,), (2, True), (True, True, True)])
+def test_partition_checks_refuse_bools(parts):
+    assert not is_partition(parts)
+    with pytest.raises(ValueError):
+        as_partition(parts)
+    with pytest.raises(ValueError):
+        sort_to_partition(parts)
+
+
+def test_cover_args():
+    assert cover_args(3, 0, [2, 1]) == (2, 1)
+    assert cover_args(1, 5, (1,)) == (1,)
+    for d, r, mu, message in [
+        (0, 0, (), "() is not a partition of 0 >= 1"),
+        (3, 1, (2,), "(2,) is not a partition of 3 >= 1"),
+        (2, -1, (2,), "r must be non-negative"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            cover_args(d, r, mu)
+        assert str(info.value) == message
+    with pytest.raises(ValueError, match="not a partition"):
+        cover_args(3, 1, (1, 2))
 
 
 @given(partitions(max_n=9), st.randoms(use_true_random=False))
