@@ -24,7 +24,6 @@ from .engine import (
     covering_series,
     covering_series_charsum,
     disconnected_count_charsum,
-    disconnected_count_operator,
     hurwitz_number,
     one_part_closed,
     one_part_closed_stirling,

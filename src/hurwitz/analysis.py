@@ -44,8 +44,8 @@ class AuditReport:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def to_jsonable(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        body = {
             "name": self.name,
             "scope": self.scope,
             "checked": len(self.records),
@@ -53,9 +53,7 @@ class AuditReport:
             "records": [rec._asdict() for rec in self.records],
             "data": self.data,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_jsonable(), sort_keys=True, separators=(",", ":"))
+        return json.dumps(body, sort_keys=True, separators=(",", ":"))
 
     def render(self) -> str:
         lines = [f"[{self.name}] {self.scope}: {len(self.records)} checks, {self.failures} failures"]

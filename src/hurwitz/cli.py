@@ -4,7 +4,8 @@ suites, scan parity data, and manage the persistent value cache.
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
 or unwritable cache path, a cached key that is not a Hurwitz key or a value
-the integrality theorem rules out, an input too large to hold in memory),
+the integrality theorem rules out, an input too large to hold in memory or
+to count with machine-sized integers),
 141 when the reader closes stdout before the output is written.
 """
 
@@ -274,6 +275,10 @@ def main(argv: list[str] | None = None) -> int:
         # A MemoryError carries no message of its own.
         print("error: out of memory: the input is too large", file=sys.stderr)
         return USAGE_ERROR
+    except OverflowError as exc:
+        # e.g. a part count or a factorial beyond a machine-sized integer
+        print(f"error: the input is too large: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 def _load_cache(flag_value: str | None) -> HurwitzCache:
@@ -352,13 +357,12 @@ def _dispatch(args: argparse.Namespace) -> int:
                 print(f"no cache at {path}")
             return 0
         if args.subop == "stats":
-            cache = _load_cache(args.cache)
-            if cache.missing_on_load:
+            if not os.path.exists(path):
                 print(f"0 entries (no cache at {path})")
-            else:
-                rs = [ramification(g, mu) for g, mu in cache.entries]
-                span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
-                print(f"{len(cache)} entries{span}")
+                return 0
+            rs = [ramification(g, mu) for g, mu in _load_cache(path).entries]
+            span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
+            print(f"{len(rs)} entries{span}")
             return 0
 
     raise UsageError(f"unknown command {args.command!r}")

@@ -202,23 +202,11 @@ def _operator_power(d: int, r: int) -> PowerSumPoly:
     return cut_and_join(_operator_power(d, r - 1))
 
 
-def disconnected_count_operator(d: int, r: int, mu: Iterable[int]) -> Fraction:
-    """Weighted disconnected cover count as a coefficient of an operator power.
-
-    Coefficient of p_mu in (1/d!) (cut-and-join)^r p_1^d; agrees with the
-    character-sum route on every input.  The powers below r are filled in
-    ascending order first, so no call recurses more than one level.
-    """
-    mu = cover_args(d, r, mu)
-    for s in range(r):
-        _operator_power(d, s)
-    return _operator_power(d, r).coefficient(mu) / factorial(d)
-
-
 def covering_series(d_max: int, r_max: int) -> GenSeries:
     """Generating series of disconnected counts, built by operator powers."""
     out = GenSeries(d_max, r_max)
     for d in range(d_max + 1):
+        # ascending r, so `_operator_power` recurses at most one level
         for r in range(r_max + 1):
             poly = _operator_power(d, r)
             inv = Fraction(1, factorial(d))
@@ -303,16 +291,12 @@ class HurwitzCache:
         self.entries: dict[tuple[int, Partition], Fraction] = {}
         self.path = path
         self.dirty = False
-        self.missing_on_load = False
         # 2 * value of every entry `hurwitz_number` has computed or read; entries
         # are never changed once inserted, so a stored 2h cannot go stale.
         self._twice: dict[tuple[int, Partition], int] = {}
         # (sub-multiset, part) -> the split child's profile, for `_ledger`;
         # threads sharing the cache store equal profiles for a key.
         self._grown: dict[tuple[Partition, int], Partition] = {}
-
-    def get(self, g: int, mu: Partition) -> Fraction | None:
-        return self.entries.get((g, mu))
 
     def insert(self, g: int, mu: Partition, value: Fraction) -> None:
         """Store a value; refuses a key that `cache_load` would refuse."""
@@ -338,8 +322,8 @@ class HurwitzCache:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def save(self, path: str | None = None) -> str:
-        path = path or self.path
+    def save(self) -> str:
+        path = self.path
         if not path:
             raise ValueError("no cache path configured")
         parent = os.path.dirname(path)
@@ -366,7 +350,6 @@ class HurwitzCache:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
-        self.path = path
         self.dirty = False
         return path
 
@@ -376,7 +359,7 @@ def _not_a_hurwitz_key(g: int, mu: Partition) -> str:
 
 
 def cache_load(path: str) -> HurwitzCache:
-    """Load a cache file; a missing file yields an empty cache with a warning flag.
+    """Load a cache file; a missing file yields an empty cache with that path.
 
     Each line is validated once and stored directly: a key that repeats with
     a different value raises CacheConflictError, as `insert` would.  The
@@ -390,7 +373,6 @@ def cache_load(path: str) -> HurwitzCache:
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
-        cache.missing_on_load = True
         return cache
     entries = cache.entries
     with open(path, "r", encoding="ascii") as fh:

@@ -153,6 +153,6 @@ def ramification(g: int, k: Sequence[int]) -> int:
     k = tuple(k)
     if not k:
         raise ValueError("empty ramification profile")
-    if any(p < 1 for p in k):
-        raise ValueError(f"profile parts must be positive: {k!r}")
+    if any(type(p) is not int or p < 1 for p in k):
+        raise ValueError(f"profile parts must be positive integers: {k!r}")
     return 2 * g - 2 + len(k) + sum(k)

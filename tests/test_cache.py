@@ -15,7 +15,7 @@ from hurwitz.partitions import as_partition, ramification
 def test_insert_get_and_idempotence():
     cache = HurwitzCache()
     cache.insert(0, (1,), Fraction(1))
-    assert cache.get(0, (1,)) == 1
+    assert cache.entries.get((0, (1,))) == 1
     cache.insert(0, (1,), Fraction(1))  # same value: no-op
     assert len(cache) == 1
     with pytest.raises(CacheConflictError):
@@ -24,21 +24,21 @@ def test_insert_get_and_idempotence():
 
 def test_save_load_roundtrip(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     cache.insert(0, (1,), Fraction(1))
     cache.insert(0, (2,), Fraction(1, 2))
     cache.insert(2, (2, 1), Fraction(364))
-    cache.save(path)
+    cache.save()
     loaded = cache_load(path)
     assert loaded.entries == cache.entries
-    assert not loaded.missing_on_load
+    assert loaded.path == path and not loaded.dirty
 
 
 def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
-    cache = HurwitzCache()
+    cache = HurwitzCache(str(path))
     cache.insert(0, (1,), Fraction(1))
-    cache.save(str(path))
+    cache.save()
     before = path.read_bytes()
 
     def broken_replace(src, dst):
@@ -47,16 +47,31 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkey
     cache.insert(0, (2,), Fraction(1, 2))
     monkeypatch.setattr(os, "replace", broken_replace)
     with pytest.raises(OSError, match="disk full"):
-        cache.save(str(path))
+        cache.save()
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["cache.jsonl"]
     assert cache.dirty
 
 
-def test_load_missing_path_gives_empty_cache_with_flag(tmp_path):
-    loaded = cache_load(str(tmp_path / "absent.jsonl"))
+def test_load_missing_path_gives_empty_cache_at_that_path(tmp_path):
+    path = str(tmp_path / "absent.jsonl")
+    loaded = cache_load(path)
     assert len(loaded) == 0
-    assert loaded.missing_on_load
+    assert loaded.path == path and not os.path.exists(path)
+
+
+def test_save_without_a_path_is_refused():
+    cache = HurwitzCache()
+    cache.insert(0, (1,), Fraction(1))
+    with pytest.raises(ValueError, match="^no cache path configured$"):
+        cache.save()
+    assert cache.dirty
+
+
+def test_load_skips_blank_lines(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('\n{"g":0,"mu":[2],"num":"1","den":"2"}\n\n  \n{"g":1,"mu":[3],"num":"27","den":"1"}\n\n')
+    assert cache_load(str(path)).entries == {(0, (2,)): Fraction(1, 2), (1, (3,)): 27}
 
 
 def test_load_malformed_line_reports_line_number(tmp_path):
@@ -257,10 +272,10 @@ def test_load_reports_the_first_offending_line_in_file_order(tmp_path):
 
 def test_load_matches_the_plain_reader_on_every_key_up_to_branch_count_18(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     for g, mu in keys_with_ramification_at_most(18):
         hurwitz_number(g, mu, cache)
-    cache.save(path)
+    cache.save()
     assert list(cache_load(path).entries.items()) == list(_reference_load(path).items())
 
 
@@ -272,7 +287,7 @@ def test_recursion_stores_its_values_without_insert(monkeypatch):
     cache = HurwitzCache()
     assert hurwitz_number(2, (2, 1), cache) == 364
     assert cache.dirty
-    assert cache.get(0, (1,)) == 1 and cache.get(2, (2, 1)) == 364
+    assert cache.entries.get((0, (1,))) == 1 and cache.entries.get((2, (2, 1))) == 364
 
 
 def test_merge_conflict_is_fatal():
@@ -297,25 +312,25 @@ def test_merge_of_agreeing_caches():
 def test_save_is_byte_stable_and_order_independent(tmp_path):
     entries = [(0, (1,), Fraction(1)), (1, (3,), Fraction(9)), (0, (2, 2), Fraction(12)), (0, (4,), Fraction(4))]
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    a = HurwitzCache()
+    a = HurwitzCache(p1)
     for g, mu, v in entries:
         a.insert(g, mu, v)
-    a.save(p1)
-    b = HurwitzCache()
+    a.save()
+    b = HurwitzCache(p2)
     for g, mu, v in reversed(entries):
         b.insert(g, mu, v)
-    b.save(p2)
+    b.save()
     data1 = Path(p1).read_bytes()
     assert data1 == Path(p2).read_bytes()
-    a.save(p1)  # repeated save identical
+    a.save()  # repeated save identical
     assert Path(p1).read_bytes() == data1
 
 
 def test_file_format_fields(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     cache.insert(0, (2,), Fraction(1, 2))
-    cache.save(path)
+    cache.save()
     lines = Path(path).read_text().splitlines()
     assert len(lines) == 1
     rec = json.loads(lines[0])
@@ -324,12 +339,12 @@ def test_file_format_fields(tmp_path):
 
 def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     cache.insert(0, (2,), Fraction(1, 2))
     cache.insert(3, (1,), Fraction(0))
     cache.insert(6, (4, 3, 3, 1), Fraction(10**29 + 7))
     cache.insert(1, (2, 2), Fraction(-(10**29) - 1, 3))
-    cache.save(path)
+    cache.save()
     expected = [
         json.dumps(
             {"g": g, "mu": list(mu), "num": str(v.numerator), "den": str(v.denominator)},
@@ -347,12 +362,12 @@ def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
 
 def test_sort_order_is_by_branch_count_then_genus(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     cache.insert(1, (1,), Fraction(0))   # r = 2
     cache.insert(0, (1,), Fraction(1))   # r = 0
     cache.insert(0, (2,), Fraction(1, 2))  # r = 1
     cache.insert(0, (1, 1), Fraction(1, 2))  # r = 2
-    cache.save(path)
+    cache.save()
     lines = Path(path).read_text().splitlines()
     keys = [(json.loads(line)["g"], tuple(json.loads(line)["mu"])) for line in lines]
     assert keys == [(0, (1,)), (0, (2,)), (0, (1, 1)), (1, (1,))]
@@ -370,20 +385,20 @@ def test_sort_order_is_by_branch_count_then_genus(tmp_path):
 )
 def test_roundtrip_random_entries(tmp_path_factory, entries):
     path = str(tmp_path_factory.mktemp("cache") / "c.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     for g, mu, value in entries:
         key = tuple(sorted(mu, reverse=True))
-        if cache.get(g, key) is None:
+        if cache.entries.get((g, key)) is None:
             cache.insert(g, key, value)
-    cache.save(path)
+    cache.save()
     assert cache_load(path).entries == cache.entries
 
 
 def test_recursion_reuses_persisted_values(tmp_path):
     path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache()
+    cache = HurwitzCache(path)
     hurwitz_number(2, (2, 1), cache)
-    cache.save(path)
+    cache.save()
     warm = cache_load(path)
     n_before = len(warm)
     assert hurwitz_number(2, (2, 1), warm) == 364
@@ -394,10 +409,10 @@ def test_a_loaded_cache_feeds_the_recursion(tmp_path):
     # Every child of an r = 10 key has r <= 9, so each is read from the loaded
     # file as 2h, integral values included, and none is recomputed.
     path = str(tmp_path / "cache.jsonl")
-    cold = HurwitzCache()
+    cold = HurwitzCache(path)
     for g, mu in keys_with_ramification_at_most(9):
         hurwitz_number(g, mu, cold)
-    cold.save(path)
+    cold.save()
     warm = cache_load(path)
     fresh = HurwitzCache()
     top = [(g, mu) for g, mu in keys_with_ramification_at_most(10) if ramification(g, mu) == 10]

@@ -93,6 +93,29 @@ def test_out_of_memory_exits_2(capsys, monkeypatch):
     assert err == "error: out of memory: the input is too large\n"
 
 
+@pytest.mark.parametrize("method", ["cj", "charsum", "operator", "closed", "oracle"])
+def test_every_method_gives_the_genus_zero_two_part_value(capsys, method):
+    code, out, err = run(capsys, "compute", "0", "3,2", "--method", method)
+    assert code == 0 and err == ""
+    assert out.startswith(f"h_{{0,(3,2)}} = 216  # method={method} ")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "--rmax", "-1"), "rmax must be non-negative"),
+        (("table", "--nmax", "-1"), "bounds must be non-negative"),
+        (("table", "--gmax", "-1"), "bounds must be non-negative"),
+        (("compute", "0", "1^0"), "empty partition"),
+    ],
+)
+def test_usage_error_exits_2_with_one_error_line(capsys, isolated_cache, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+    assert not os.path.exists(isolated_cache)
+
+
 def test_table_formats_have_identical_value_multisets(capsys):
     outputs = {}
     for fmt in ("md", "csv", "json"):
@@ -267,6 +290,20 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
     assert "FAIL cross-method" in out
 
 
+def test_oracle_mismatch_fails_verify_with_exit_1(capsys, monkeypatch):
+    real = hurwitz.oracle.count_covers_bruteforce
+
+    def corrupted(d, r, mu, connected=False):
+        value = real(d, r, mu, connected=connected)
+        return value + 1 if (d, r, mu) == (3, 2, (3,)) else value
+
+    monkeypatch.setattr(hurwitz.oracle, "count_covers_bruteforce", corrupted)
+    code, out, _ = run(capsys, "verify", "--rmax", "2", "--with-oracle")
+    assert code == 1
+    assert "FAIL oracle: 36 brute-force comparisons, 2 mismatches" in out.splitlines()
+    assert "FAIL" not in out.replace("FAIL oracle", "")
+
+
 def test_verify_builds_each_series_once(capsys, monkeypatch, tmp_path):
     import hurwitz.engine
 
@@ -310,6 +347,13 @@ def test_cache_commands(capsys, isolated_cache):
 
     code, out, _ = run(capsys, "cache", "clear")
     assert code == 0 and not os.path.exists(isolated_cache)
+
+
+def test_cache_clear_without_a_file(capsys, isolated_cache):
+    code, out, err = run(capsys, "cache", "clear")
+    assert code == 0 and err == ""
+    assert out == f"no cache at {isolated_cache}\n"
+    assert not os.path.exists(isolated_cache)
 
 
 def test_cache_flag_overrides_env(capsys, tmp_path):
@@ -448,6 +492,25 @@ def test_values_beyond_4300_digits_load_and_save(isolated_cache, no_int_digit_li
     with open(isolated_cache, encoding="ascii") as fh:
         saved = fh.readlines()
     assert saved[-1] == line and len(saved) > 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "0", "2^99999999999999999999"),  # a part count past a list's size
+        ("compute", "0", "99999999999999999999", "--method", "oracle"),  # a factorial's argument
+    ],
+)
+def test_input_too_large_for_a_machine_integer_exits_2(isolated_cache, argv):
+    _write_cache(isolated_cache, [(0, [2], 1, 2)])
+    with open(isolated_cache, "rb") as fh:
+        before = fh.read()
+    proc = _run_cli(*argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: the input is too large: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    with open(isolated_cache, "rb") as fh:
+        assert fh.read() == before
 
 
 def test_closed_stdout_exits_141_quietly_without_saving(tmp_path):

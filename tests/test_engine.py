@@ -10,8 +10,8 @@ import hurwitz.symfunc as symfunc
 from hurwitz import (
     connected_from_log,
     count_covers_bruteforce,
+    covering_series,
     disconnected_count_charsum,
-    disconnected_count_operator,
     hurwitz_number,
     keys_with_ramification_at_most,
     one_part_closed,
@@ -65,15 +65,16 @@ def test_charsum_series_leaves_argument_checks_to_the_public_character(monkeypat
 
 
 def test_disconnected_operator_examples():
-    assert disconnected_count_operator(2, 1, (2,)) == Fraction(1, 2)
-    assert disconnected_count_operator(2, 1, (1, 1)) == 0
-    assert disconnected_count_operator(3, 2, (3,)) == 1
+    table = covering_series(3, 2)
+    assert table[(2, 1, (2,))] == Fraction(1, 2)
+    assert table[(2, 1, (1, 1))] == 0
+    assert table[(3, 2, (3,))] == 1
 
 
 @pytest.mark.parametrize("d, r, mu", [(0, 0, ()), (3, 1, (2,))])
 def test_the_three_cover_counts_refuse_the_same_arguments(d, r, mu):
     messages = set()
-    for count in (disconnected_count_charsum, disconnected_count_operator, count_covers_bruteforce):
+    for count in (disconnected_count_charsum, count_covers_bruteforce):
         with pytest.raises(ValueError) as info:
             count(d, r, mu)
         messages.add(str(info.value))
@@ -90,16 +91,18 @@ def test_hurwitz_number_refuses_a_key_that_is_not_made_of_ints(g, mu):
 
 def test_disconnected_operator_at_a_branch_count_beyond_the_recursion_limit():
     engine._operator_power.cache_clear()
+    table = covering_series(2, 1201)
     # The image alternates p_1^2 -> p_2 -> p_1^2, and p_1 maps to zero.
-    assert disconnected_count_operator(2, 1201, (2,)) == Fraction(1, 2)
-    assert disconnected_count_operator(1, 1200, (1,)) == 0
+    assert table[(2, 1201, (2,))] == Fraction(1, 2)
+    assert table[(1, 1200, (1,))] == 0
 
 
 def test_disconnected_methods_agree():
+    table = covering_series(6, 8)
     for d in range(1, 7):
         for mu in partitions_of(d):
             for r in range(9):
-                assert disconnected_count_operator(d, r, mu) == disconnected_count_charsum(d, r, mu)
+                assert table[(d, r, mu)] == disconnected_count_charsum(d, r, mu)
 
 
 def test_hurwitz_base_and_spot_values(shared_cache):
@@ -382,6 +385,26 @@ def test_normalized_form_of_recursion(shared_cache):
             normalized = Fraction(factorial(n - 2), factorial(ramification(g, merged)))
             rhs = n * (n - 1) * normalized * hurwitz_number(g, merged, shared_cache)
             assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: one_part_genus0(0), "n must be positive"),
+        (lambda: one_part_closed(-1, 3), "need g >= 0 and n >= 1"),
+        (lambda: one_part_closed(0, 0), "need g >= 0 and n >= 1"),
+        (lambda: one_part_closed_stirling(-1, 3), "need g >= 0 and n >= 1"),
+        (lambda: one_part_closed_stirling(0, 0), "need g >= 0 and n >= 1"),
+        (lambda: stirling2(-1, 0), "arguments must be non-negative"),
+        (lambda: stirling2(0, -1), "arguments must be non-negative"),
+        (lambda: engine.GenSeries(-1, 0), "bounds must be non-negative"),
+        (lambda: engine.GenSeries(0, -1), "bounds must be non-negative"),
+    ],
+)
+def test_closed_forms_and_series_refuse_out_of_range_arguments(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_one_part_genus0():

@@ -179,13 +179,15 @@ def test_ramification_refuses_a_genus_that_is_not_an_int(g):
     assert str(info.value) == f"genus is not an integer: {g!r}"
 
 
-@pytest.mark.parametrize("parts", [(True,), (2, True), (True, True, True)])
+@pytest.mark.parametrize("parts", [(True,), (2, True), (True, True, True), (2.5,), (2, 1.0)])
 def test_partition_checks_refuse_bools(parts):
     assert not is_partition(parts)
     with pytest.raises(ValueError):
         as_partition(parts)
     with pytest.raises(ValueError):
         sort_to_partition(parts)
+    with pytest.raises(ValueError, match="profile parts must be positive integers"):
+        ramification(0, parts)
 
 
 def test_cover_args():
