@@ -188,13 +188,14 @@ def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache) -> bool
         checked = 0
         d_max, r_top = min(r_max + 1, 5), min(r_max, 6)
         series = engine.covering_series_charsum(d_max, r_top)
+        groups = {}  # each S_d is indexed once for the whole grid
         for d in range(1, d_max + 1):
             for mu in partitions_of(d):
                 for r in range(r_top + 1):
-                    disc = oracle.count_covers_bruteforce(d, r, mu, connected=False)
+                    disc = oracle.count_covers_bruteforce(d, r, mu, connected=False, groups=groups)
                     if disc != series[(d, r, mu)]:
                         bad += 1
-                    conn = oracle.count_covers_bruteforce(d, r, mu, connected=True)
+                    conn = oracle.count_covers_bruteforce(d, r, mu, connected=True, groups=groups)
                     base = len(mu) + d - 2
                     if r >= base and (r - base) % 2 == 0:
                         expect = engine.hurwitz_number((r - base) // 2, mu, cache)

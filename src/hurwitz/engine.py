@@ -322,7 +322,7 @@ class HurwitzCache:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def save(self) -> str:
+    def save(self) -> None:
         path = self.path
         if not path:
             raise ValueError("no cache path configured")
@@ -351,7 +351,6 @@ class HurwitzCache:
                 os.remove(tmp)
             raise
         self.dirty = False
-        return path
 
 
 def _not_a_hurwitz_key(g: int, mu: Partition) -> str:

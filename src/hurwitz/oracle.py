@@ -7,6 +7,11 @@ The equation fixes s as the inverse of t_r ... t_1, so the search enumerates
 the C(d,2)^r transposition tuples once and solves for s rather than searching
 for it: a tuple counts when its product has cycle type mu.
 
+The search walks integer indices of S_d: left multiplication by each
+transposition is a table of index rows, and each element's cycle type is
+tabulated beside it.  A caller that runs many searches passes one `groups`
+dict, so each S_d is indexed once per dict rather than once per call.
+
 One loop runs over the prefixes (t_1, ..., t_{r-k}) and expands the last k
 transpositions of each as one list of products, with k the largest value at
 most r such that C(d,2)^k <= _BLOCK = 4096; so no list holds more than 4096
@@ -23,6 +28,9 @@ from math import comb, factorial
 from .partitions import Partition, conj_class_size, cover_args
 
 Perm = tuple[int, ...]
+# d -> (lmul, types): lmul[t][i] is the index of transposition t times
+# element i of S_d, and types[i] is element i's cycle type.
+GroupTable = tuple[list[list[int]], list[Partition]]
 
 # Most products the last levels of the search hold in one list.
 _BLOCK = 4096
@@ -56,6 +64,7 @@ def count_covers_bruteforce(
     mu,
     connected: bool = False,
     work_bound: int = 10**8,
+    groups: dict[int, GroupTable] | None = None,
 ) -> Fraction:
     """Weighted count of factorizations t_r ... t_1 s = id by direct search.
 
@@ -68,10 +77,15 @@ def count_covers_bruteforce(
     `itertools.product` lists the suffixes (t_{r-k+1}, ..., t_r).  A connected
     count tests each hit's complete tuple for transitivity.
 
+    `groups` maps d to S_d's index rows and cycle types.  A missing entry is
+    built and stored after the refusal check, so a refused call indexes
+    nothing and adds no entry; without a dict, a fresh indexing is made.
+
     Refuses (rather than truncates) when class size times C(d,2)^r, plus the
     group-indexing cost d! (C(d,2) + 1), exceeds the work bound.  That is an
     upper bound on the search, kept as the refusal rule so that the same
-    inputs are refused as by a search from every s in the class.
+    inputs are refused as by a search from every s in the class.  It counts
+    the indexing on every call, whether or not `groups` already holds S_d.
     """
     mu = cover_args(d, r, mu)
     work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
@@ -81,20 +95,19 @@ def count_covers_bruteforce(
         )
 
     transpositions = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    trans_perms: list[Perm] = []
-    for a, b in transpositions:
-        img = list(range(d))
-        img[a], img[b] = b, a
-        trans_perms.append(tuple(img))
-
-    # Index the full symmetric group once and tabulate left multiplication by
-    # each transposition; the search then walks integer indices.
-    perms = list(permutations(range(d)))
-    index = {p: i for i, p in enumerate(perms)}
-    lmul = [
-        [index[tuple(map(t.__getitem__, p))] for p in perms] for t in trans_perms
-    ]
-    hit = [cycle_type(p) == mu for p in perms]
+    if groups is None:
+        groups = {}
+    if d not in groups:
+        perms = list(permutations(range(d)))
+        index = {p: i for i, p in enumerate(perms)}
+        lmul = []
+        for a, b in transpositions:
+            swap = list(range(d))
+            swap[a], swap[b] = b, a
+            lmul.append([index[tuple(map(swap.__getitem__, p))] for p in perms])
+        groups[d] = (lmul, [cycle_type(p) for p in perms])
+    lmul, types = groups[d]
+    hit = [ct == mu for ct in types]
 
     n_trans = len(lmul)
     k = 0
@@ -117,7 +130,7 @@ def count_covers_bruteforce(
                 remaining -= 1
         return remaining == 1
 
-    identity = index[tuple(range(d))]
+    identity = 0  # `permutations` lists the identity first
     count = 0
     for prefix in product(range(n_trans), repeat=r - k):
         prod_idx = identity

@@ -60,9 +60,6 @@ class PowerSumPoly:
     def monomial(cls, mu: Iterable[int], coeff: Scalar = 1) -> "PowerSumPoly":
         return cls({tuple(sorted(mu, reverse=True)): Fraction(coeff)})
 
-    def coefficient(self, mu: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(sorted(mu, reverse=True)), Fraction(0))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSumPoly):
             return NotImplemented

@@ -293,8 +293,8 @@ def test_verify_failure_exits_1(capsys, monkeypatch):
 def test_oracle_mismatch_fails_verify_with_exit_1(capsys, monkeypatch):
     real = hurwitz.oracle.count_covers_bruteforce
 
-    def corrupted(d, r, mu, connected=False):
-        value = real(d, r, mu, connected=connected)
+    def corrupted(d, r, mu, connected=False, groups=None):
+        value = real(d, r, mu, connected=connected, groups=groups)
         return value + 1 if (d, r, mu) == (3, 2, (3,)) else value
 
     monkeypatch.setattr(hurwitz.oracle, "count_covers_bruteforce", corrupted)
@@ -302,6 +302,20 @@ def test_oracle_mismatch_fails_verify_with_exit_1(capsys, monkeypatch):
     assert code == 1
     assert "FAIL oracle: 36 brute-force comparisons, 2 mismatches" in out.splitlines()
     assert "FAIL" not in out.replace("FAIL oracle", "")
+
+
+def test_verify_with_oracle_indexes_each_symmetric_group_once(capsys, monkeypatch):
+    real = hurwitz.oracle.permutations
+    degrees = []
+
+    def counted(points):
+        degrees.append(len(points))
+        return real(points)
+
+    monkeypatch.setattr(hurwitz.oracle, "permutations", counted)
+    code, out, _ = run(capsys, "verify", "--rmax", "5", "--with-oracle")
+    assert code == 0 and "FAIL" not in out
+    assert degrees == [1, 2, 3, 4, 5]
 
 
 def test_verify_builds_each_series_once(capsys, monkeypatch, tmp_path):

@@ -90,6 +90,34 @@ def test_refusal_rule_and_message(monkeypatch):
         count_covers_bruteforce(12, 0, (1,) * 12)
 
 
+def test_refused_call_leaves_the_groups_table_alone(monkeypatch):
+    groups = {}
+    count_covers_bruteforce(3, 2, (3,), groups=groups)
+
+    def no_indexing(*args):
+        raise _Indexed
+
+    monkeypatch.setattr(hurwitz.oracle, "permutations", no_indexing)
+    with pytest.raises(WorkBoundExceeded):
+        count_covers_bruteforce(6, 9, (6,), work_bound=10**6, groups=groups)
+    assert list(groups) == [3]
+    # An entry already in the table is read, not rebuilt.
+    assert count_covers_bruteforce(3, 2, (3,), connected=True, groups=groups) == 1
+
+
+def test_shared_groups_table_gives_the_same_counts():
+    # The grid of `verify --with-oracle`: d <= 5, r <= 5, every mu, both flags.
+    groups = {}
+    for d in range(1, 6):
+        for mu in partitions_of(d):
+            for r in range(6):
+                for connected in (False, True):
+                    shared = count_covers_bruteforce(d, r, mu, connected=connected, groups=groups)
+                    fresh = count_covers_bruteforce(d, r, mu, connected=connected)
+                    assert shared == fresh, (d, r, mu, connected)
+    assert sorted(groups) == [1, 2, 3, 4, 5]
+
+
 def _counts_per_sigma(d, r, mu):
     """(all, transitive) tuple counts, searched from every s in the class of mu.
 

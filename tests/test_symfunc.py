@@ -30,9 +30,9 @@ def test_poly_add_examples():
     assert P.p(1) + P.p(1) == P.monomial((1,), 2)
     assert P.p(2) + P.monomial((2,), -1) == P.zero()
     left = (P.p(1) + P.p(2)) + P.monomial((1, 1))
-    assert left.coefficient((1,)) == 1
-    assert left.coefficient((2,)) == 1
-    assert left.coefficient((1, 1)) == 1
+    assert left.terms[(1,)] == 1
+    assert left.terms[(2,)] == 1
+    assert left.terms[(1, 1)] == 1
 
 
 def test_poly_mul_examples():
