@@ -259,6 +259,14 @@ def test_parity_json_output(capsys):
             ("table", "--gmax", "6", "--nmax", "6", "--format", "json"),
             "d2bb880f1da27ad0636a110d2b46b955ff521c3b8f6dc1b5ec51792113fba2e2",
         ),
+        (
+            ("verify", "--rmax", "7"),
+            "8f9ecef096ab926d1266acd0f27e25b6406e778a11f9638fcc2e9fdf65458899",
+        ),
+        (
+            ("verify", "--rmax", "5", "--with-oracle"),
+            "f1c8708cdd2203f2c7142460768bc16b090fd78ea4b39a97f1f5b2726338f05b",
+        ),
     ],
 )
 def test_output_bytes_are_stable(capsys, argv, digest):
