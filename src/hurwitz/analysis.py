@@ -1,14 +1,14 @@
-"""Machine checks of integrality, recursion coefficients, parity data, and
-known identities over computed ranges, with deterministic structured reports.
+"""Machine checks of the routes against each other and the oracle, integrality,
+recursion coefficients, parity data and known identities, as structured reports.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
-from . import reference_data
+from . import engine, oracle, reference_data
 from .engine import HurwitzCache, _ledger, hurwitz_number, one_part_genus0
 from .partitions import (
     Partition,
@@ -35,6 +35,7 @@ class AuditReport:
         self.scope = scope
         self.records: list[AuditRecord] = []
         self.data: dict = {}
+        self.summary = ""  # the line `hurwitz verify` prints after PASS or FAIL
 
     @property
     def failures(self) -> int:
@@ -113,6 +114,7 @@ def integrality_audit(r_max: int, cache: HurwitzCache | None = None) -> AuditRep
         h = hurwitz_number(g, mu, store)
         label, ok = integrality_check(g, mu, h)
         report.records.append(AuditRecord(label, g, mu, str(h), ok))
+    report.summary = f"{len(report.records)} keys, {report.failures} violations"
     return report
 
 
@@ -154,6 +156,15 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
         report.records.append(
             AuditRecord(label, g, lam, str(Fraction(twice, 2)), ok, detail)
         )
+    return report
+
+
+def coefficient_sweep(r_max: int) -> AuditReport:
+    """`coefficient_audit` at every key in range, as one report."""
+    report = AuditReport(name="coefficients", scope=f"r<={r_max}")
+    for g, mu in keys_with_ramification_at_most(r_max):
+        report.records.extend(coefficient_audit(g, mu).records)
+    report.summary = f"{len(report.records)} terms, {report.failures} non-integral"
     return report
 
 
@@ -260,21 +271,78 @@ def identity_suite(g_max: int, n_max: int, cache: HurwitzCache | None = None) ->
                 h = hurwitz_number(g, mu, store)
                 fix = reference_data.ERRATA.get((mu, g))
                 if fix:
-                    printed, corrected = fix
-                    ok = h == corrected
-                    report.records.append(
-                        AuditRecord(
-                            "table-erratum",
-                            g,
-                            mu,
-                            str(h),
-                            ok,
-                            f"printed {printed}, corrected {corrected}",
-                        )
-                    )
+                    printed, expect = fix
+                    label, detail = "table-erratum", f"printed {printed}, corrected {expect}"
                 else:
-                    ok = h == printed_row[g]
-                    report.records.append(
-                        AuditRecord("table-cell", g, mu, str(h), ok, f"printed {printed_row[g]}")
-                    )
+                    expect = printed_row[g]
+                    label, detail = "table-cell", f"printed {expect}"
+                report.records.append(AuditRecord(label, g, mu, str(h), h == expect, detail))
+    report.summary = f"{len(report.records)} checks, {report.failures} failures"
     return report
+
+
+# ---------------------------------------------------------------------------
+# independent routes and the brute-force oracle: a record per mismatch only
+
+def cross_method_audit(r_max: int, cache: HurwitzCache) -> AuditReport:
+    """Compare the recursion with the charsum and operator logs at every key in range."""
+    report = AuditReport(name="cross-method", scope=f"r<={r_max}")
+    keys = keys_with_ramification_at_most(r_max)
+    # Every key has |mu| <= r_max + 1: build each log table once, at full size.
+    for method in ("operator", "charsum"):
+        engine.log_table(r_max + 1, r_max, method)
+    for g, mu in keys:
+        h = hurwitz_number(g, mu, cache)
+        for method in ("operator", "charsum"):
+            other = engine.connected_from_log(g, mu, method=method)
+            if other != h:
+                report.records.append(AuditRecord(method, g, mu, str(other), False, f"!= {h}"))
+    report.summary = f"{len(keys)} keys (recursion vs charsum/operator logs)"
+    return report
+
+
+def oracle_audit(d_max: int, r_max: int, cache: HurwitzCache) -> AuditReport:
+    """Compare brute-force cover counts on every d <= d_max, profile of d and
+    r <= r_max: disconnected with the character-sum series, connected with
+    the recursion (zero where no genus has that branch count)."""
+    report = AuditReport(name="oracle", scope=f"d<={d_max}, r<={r_max}")
+    series = engine.covering_series_charsum(d_max, r_max)
+    groups = {}  # each S_d is indexed once for the whole grid
+    checked = 0
+    for d in range(1, d_max + 1):
+        for mu in partitions_of(d):
+            genus_at = {ramification(g, mu): g for g in range(r_max // 2 + 1)}
+            for r in range(r_max + 1):
+                expect = series[(d, r, mu)]
+                disc = oracle.count_covers_bruteforce(d, r, mu, connected=False, groups=groups)
+                if disc != expect:
+                    report.records.append(
+                        AuditRecord(f"r={r} disconnected", None, mu, str(disc), False, f"!= {expect}")
+                    )
+                conn = oracle.count_covers_bruteforce(d, r, mu, connected=True, groups=groups)
+                g = genus_at.get(r)
+                expect = Fraction(0) if g is None else hurwitz_number(g, mu, cache)
+                if conn != expect:
+                    report.records.append(
+                        AuditRecord(f"r={r} connected", None, mu, str(conn), False, f"!= {expect}")
+                    )
+                checked += 2
+    report.summary = f"{checked} brute-force comparisons, {report.failures} mismatches"
+    return report
+
+
+# ---------------------------------------------------------------------------
+# hurwitz verify
+
+def verification_reports(
+    r_max: int, with_oracle: bool, cache: HurwitzCache
+) -> Iterator[AuditReport]:
+    """The one list of `hurwitz verify`'s checks and their bounds, each report
+    yielded as it finishes.  A new check is a function that returns an
+    `AuditReport` with its `summary` set, and one `yield` here."""
+    yield cross_method_audit(r_max, cache)
+    yield identity_suite(min(r_max, 6), min(r_max + 1, 6), cache)
+    yield integrality_audit(r_max, cache)
+    yield coefficient_sweep(min(r_max, 10))
+    if with_oracle:
+        yield oracle_audit(min(r_max + 1, 5), min(r_max, 6), cache)

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import analysis, engine, oracle
 from .engine import HurwitzCache, cache_load
@@ -25,6 +24,7 @@ from .partitions import Partition, partitions_of, ramification, sort_to_partitio
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
+SHOWN_MISMATCHES = 10  # failing records printed under each verify line
 
 
 class UsageError(ValueError):
@@ -32,29 +32,21 @@ class UsageError(ValueError):
 
 
 def parse_partition(text: str) -> Partition:
-    """Parse comma-separated parts with exponent shorthand, e.g. "2,1^4"."""
+    """Parse comma-separated parts with exponent shorthand, e.g. "2,1^4"; each
+    number is ASCII decimal digits only (no sign, underscore or other script)."""
     parts: list[int] = []
     for token in text.split(","):
         token = token.strip()
         if not token:
             raise UsageError(f"empty part in partition {text!r}")
-        if "^" in token:
-            base_text, _, exp_text = token.partition("^")
-            try:
-                base, exp = int(base_text), int(exp_text)
-            except ValueError as exc:
-                raise UsageError(f"bad partition token {token!r}") from exc
-            if base < 1 or exp < 0:
-                raise UsageError(f"bad partition token {token!r}")
-            parts.extend([base] * exp)
-        else:
-            try:
-                base = int(token)
-            except ValueError as exc:
-                raise UsageError(f"bad partition token {token!r}") from exc
-            if base < 1:
-                raise UsageError(f"partition parts must be positive, got {base}")
-            parts.append(base)
+        base_text, caret, exp_text = token.partition("^")
+        numbers = (base_text, exp_text) if caret else (base_text,)
+        if not all(n.isascii() and n.isdigit() for n in numbers):
+            raise UsageError(f"bad partition token {token!r}")
+        base = int(base_text)
+        if base < 1:
+            raise UsageError(f"partition parts must be positive, got {base}")
+        parts.extend([base] * (int(exp_text) if caret else 1))
     if not parts:
         raise UsageError("empty partition")
     return sort_to_partition(parts)
@@ -147,64 +139,14 @@ def render_table(rows: list[tuple[Partition, list[str]]], g_max: int, fmt: str) 
 # verify
 
 def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache) -> bool:
+    """Print each verify report's PASS or FAIL line and first failing records."""
     ok = True
-
-    def emit(passed: bool, label: str, detail: str) -> None:
-        nonlocal ok
-        ok = ok and passed
-        print(("PASS" if passed else "FAIL") + f" {label}: {detail}")
-
-    keys = analysis.keys_with_ramification_at_most(r_max)
-    # Every key has |mu| <= r_max + 1: build each log table once, at full size.
-    for method in ("operator", "charsum"):
-        engine.log_table(r_max + 1, r_max, method)
-    mismatches = []
-    for g, mu in keys:
-        h = engine.hurwitz_number(g, mu, cache)
-        for method in ("operator", "charsum"):
-            other = engine.connected_from_log(g, mu, method=method)
-            if other != h:
-                mismatches.append((g, mu, method, str(h), str(other)))
-    emit(not mismatches, "cross-method", f"{len(keys)} keys (recursion vs charsum/operator logs)")
-    for g, mu, method, h, other in mismatches[:10]:
-        print(f"  mismatch g={g} mu={mu} {method}: {other} != {h}")
-
-    suite = analysis.identity_suite(min(r_max, 6), min(r_max + 1, 6), cache)
-    emit(suite.ok, "identities", f"{len(suite.records)} checks, {suite.failures} failures")
-
-    integ = analysis.integrality_audit(r_max, cache)
-    emit(integ.ok, "integrality", f"{len(integ.records)} keys, {integ.failures} violations")
-
-    coeff_failures = 0
-    coeff_terms = 0
-    for g, mu in analysis.keys_with_ramification_at_most(min(r_max, 10)):
-        rep = analysis.coefficient_audit(g, mu)
-        coeff_terms += len(rep.records)
-        coeff_failures += rep.failures
-    emit(coeff_failures == 0, "coefficients", f"{coeff_terms} terms, {coeff_failures} non-integral")
-
-    if with_oracle:
-        bad = 0
-        checked = 0
-        d_max, r_top = min(r_max + 1, 5), min(r_max, 6)
-        series = engine.covering_series_charsum(d_max, r_top)
-        groups = {}  # each S_d is indexed once for the whole grid
-        for d in range(1, d_max + 1):
-            for mu in partitions_of(d):
-                for r in range(r_top + 1):
-                    disc = oracle.count_covers_bruteforce(d, r, mu, connected=False, groups=groups)
-                    if disc != series[(d, r, mu)]:
-                        bad += 1
-                    conn = oracle.count_covers_bruteforce(d, r, mu, connected=True, groups=groups)
-                    base = len(mu) + d - 2
-                    if r >= base and (r - base) % 2 == 0:
-                        expect = engine.hurwitz_number((r - base) // 2, mu, cache)
-                    else:
-                        expect = Fraction(0)
-                    if conn != expect:
-                        bad += 1
-                    checked += 2
-        emit(bad == 0, "oracle", f"{checked} brute-force comparisons, {bad} mismatches")
+    for report in analysis.verification_reports(r_max, with_oracle, cache):
+        ok = ok and report.ok
+        print(("PASS" if report.ok else "FAIL") + f" {report.name}: {report.summary}")
+        for rec in [rec for rec in report.records if not rec.passed][:SHOWN_MISMATCHES]:
+            where = "" if rec.g is None else f" g={rec.g}"
+            print(f"  mismatch{where} mu={rec.mu} {rec.label}: {rec.value} {rec.detail}".rstrip())
     return ok
 
 

@@ -8,6 +8,7 @@ from hurwitz import (
     partitions_of,
     ramification,
 )
+from hurwitz.analysis import verification_reports
 from hurwitz.engine import _ledger
 from hurwitz.reference_data import PUBLISHED_CONVERSE_FAILURES
 
@@ -177,3 +178,25 @@ def test_failure_is_counted():
     rep.records.append(AuditRecord("forced", 0, (1,), "0", False))
     assert rep.failures == 1
     assert not rep.ok
+
+
+def test_verification_reports_are_verify_lines_in_order(shared_cache):
+    reports = verification_reports(3, True, shared_cache)
+    first = next(reports)  # each report is yielded as soon as it is done
+    assert (first.name, first.summary, first.ok) == (
+        "cross-method",
+        "8 keys (recursion vs charsum/operator logs)",
+        True,
+    )
+    assert [(rep.name, rep.summary, rep.ok) for rep in reports] == [
+        ("identities", "67 checks, 0 failures", True),
+        ("integrality", "8 keys, 0 violations", True),
+        ("coefficients", "9 terms, 0 non-integral", True),
+        ("oracle", "88 brute-force comparisons, 0 mismatches", True),
+    ]
+    assert [rep.name for rep in verification_reports(0, False, shared_cache)] == [
+        "cross-method",
+        "identities",
+        "integrality",
+        "coefficients",
+    ]

@@ -35,7 +35,7 @@ def test_parse_partition():
     assert parse_partition("3") == (3,)
     assert parse_partition("1,3,2") == (3, 2, 1)
     assert format_partition((2, 1, 1)) == "2,1,1"
-    for bad in ("", "0", "a", "2,", "1^x", "-1", "2^-1"):
+    for bad in ("", "0", "a", "2,", "1^x", "-1", "2^-1", "1_0", "+2", "٣", "2^1_0"):
         with pytest.raises(UsageError):
             parse_partition(bad)
 
@@ -310,6 +310,61 @@ def test_oracle_mismatch_fails_verify_with_exit_1(capsys, monkeypatch):
     assert code == 1
     assert "FAIL oracle: 36 brute-force comparisons, 2 mismatches" in out.splitlines()
     assert "FAIL" not in out.replace("FAIL oracle", "")
+
+
+def _assert_only_failure(out, fail_line, mismatch_line):
+    lines = out.splitlines()
+    assert fail_line in lines and mismatch_line in lines
+    assert "FAIL" not in out.replace(fail_line, "")
+
+
+def test_identity_failure_fails_verify_with_exit_1(capsys, monkeypatch):
+    real = hurwitz.analysis.one_part_genus0
+    monkeypatch.setattr(
+        hurwitz.analysis, "one_part_genus0", lambda n: real(n) + 1 if n == 3 else real(n)
+    )
+    code, out, _ = run(capsys, "verify", "--rmax", "2")
+    assert code == 1
+    _assert_only_failure(
+        out,
+        "FAIL identities: 32 checks, 1 failures",
+        "  mismatch g=0 mu=(3,) one-part-genus0: 1 expected 2",
+    )
+
+
+def test_integrality_failure_fails_verify_with_exit_1(capsys, monkeypatch):
+    real = hurwitz.analysis.integrality_check
+
+    def corrupted(g, mu, value):
+        label, ok = real(g, mu, value)
+        return label, ok and (g, mu) != (0, (3,))
+
+    monkeypatch.setattr(hurwitz.analysis, "integrality_check", corrupted)
+    code, out, _ = run(capsys, "verify", "--rmax", "2")
+    assert code == 1
+    _assert_only_failure(
+        out,
+        "FAIL integrality: 5 keys, 1 violations",
+        "  mismatch g=0 mu=(3,) positive-integer: 1",
+    )
+
+
+def test_coefficient_failure_fails_verify_with_exit_1(capsys, monkeypatch):
+    real = hurwitz.analysis._ledger
+
+    def corrupted(g, lam, grown=None):
+        if (g, lam) == (0, (1, 1)):
+            return [("merge-equal", 1, ((0, (2,)),), None)]
+        return real(g, lam, grown)
+
+    monkeypatch.setattr(hurwitz.analysis, "_ledger", corrupted)
+    code, out, _ = run(capsys, "verify", "--rmax", "2")
+    assert code == 1
+    _assert_only_failure(
+        out,
+        "FAIL coefficients: 4 terms, 1 non-integral",
+        "  mismatch g=0 mu=(1, 1) merge-equal: 1/2 h[0,(2)]",
+    )
 
 
 def test_verify_with_oracle_indexes_each_symmetric_group_once(capsys, monkeypatch):
