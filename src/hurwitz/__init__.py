@@ -40,6 +40,7 @@ from .partitions import (
     content_sum,
     dim_irrep,
     hook_product,
+    hurwitz_key,
     partitions_of,
     ramification,
     sort_to_partition,

@@ -10,12 +10,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import engine, oracle, reference_data
 from .engine import HurwitzCache, _ledger, hurwitz_number, one_part_genus0
-from .partitions import (
-    Partition,
-    partitions_of,
-    ramification,
-    sort_to_partition,
-)
+from .partitions import Partition, hurwitz_key, partitions_of, ramification
 
 
 class AuditRecord(NamedTuple):
@@ -131,7 +126,7 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
     binomial 1 and coefficient one half: that term is precisely where the
     exceptional half values originate.)
     """
-    lam = sort_to_partition(k)
+    g, lam = hurwitz_key(g, k)
     r = ramification(g, lam)
     report = AuditReport(name="coefficients", scope=f"g={g} mu=({','.join(map(str, lam))}) r={r}")
     if g == 0 and len(lam) == 1:

@@ -3,7 +3,7 @@ suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
-or unwritable cache path, a cached key that is not a Hurwitz key or a value
+or unwritable cache path, a malformed cache line or cached key, a value
 the integrality theorem rules out, an input too large to hold in memory or
 to count with machine-sized integers),
 141 when the reader closes stdout before the output is written.
@@ -19,7 +19,7 @@ import time
 
 from . import analysis, engine, oracle
 from .engine import HurwitzCache, cache_load
-from .partitions import Partition, partitions_of, ramification, sort_to_partition
+from .partitions import Partition, hurwitz_key, partitions_of, ramification, sort_to_partition
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -225,8 +225,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _load_cache(flag_value: str | None) -> HurwitzCache:
-    """Load the cache (`cache_load` refuses keys that are not Hurwitz keys) and
-    refuse any value the integrality theorem rules out."""
+    """Load the cache (`cache_load` refuses a key that `hurwitz_key` refuses)
+    and refuse any value the integrality theorem rules out."""
     path = flag_value or default_cache_path()
     cache = cache_load(path)
     for (g, mu), value in cache.entries.items():
@@ -249,19 +249,17 @@ def _save_cache(cache: HurwitzCache) -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "compute":
-        mu = parse_partition(args.mu)
-        if args.g < 0:
-            raise UsageError("genus must be non-negative")
+        g, mu = hurwitz_key(args.g, parse_partition(args.mu))
         cache = _load_cache(args.cache)
-        print(cmd_compute(args.g, mu, args.method, cache))
+        print(cmd_compute(g, mu, args.method, cache))
         _save_cache(cache)
         return 0
 
     if args.command == "table":
         if args.gmax < 0 or args.nmax < 0:
             raise UsageError("bounds must be non-negative")
-        if args.weight is not None and args.weight < 0:
-            raise UsageError("weight must be non-negative")
+        if args.weight is not None and not 1 <= args.weight <= args.nmax:
+            raise UsageError(f"weight must be between 1 and nmax ({args.nmax})")
         cache = _load_cache(args.cache)
         rows = table_values(args.gmax, args.nmax, cache, weight_exactly=args.weight)
         print(render_table(rows, args.gmax, args.format))

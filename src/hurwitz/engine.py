@@ -27,9 +27,9 @@ from .partitions import (
     content_sum,
     cover_args,
     dim_irrep,
+    hurwitz_key,
     partitions_of,
     ramification,
-    sort_to_partition,
 )
 from .symfunc import PowerSumPoly, _character, cut_and_join
 
@@ -257,7 +257,7 @@ def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
 
 def connected_from_log(g: int, mu: Iterable[int], method: str = "operator") -> Fraction:
     """Connected Hurwitz number read off the logarithm of the covering series."""
-    mu = sort_to_partition(mu)
+    g, mu = hurwitz_key(g, mu)
     r = ramification(g, mu)
     table = log_table(sum(mu), r, method)
     return table[(sum(mu), r, mu)]
@@ -299,12 +299,12 @@ class HurwitzCache:
         self._grown: dict[tuple[Partition, int], Partition] = {}
 
     def insert(self, g: int, mu: Partition, value: Fraction) -> None:
-        """Store a value; refuses a key that `cache_load` would refuse."""
-        if type(g) is not int:
-            raise ValueError(f"genus is not an integer: {g!r}")
-        key = (g, as_partition(mu))
-        if g < 0 or not key[1]:
-            raise ValueError(_not_a_hurwitz_key(g, key[1]))
+        """Store a value at the canonical key `hurwitz_key(g, mu)`.
+
+        A key that `hurwitz_key` refuses raises its ValueError, so the cache
+        never holds a key that `save` would write and `cache_load` refuse.
+        """
+        key = hurwitz_key(g, mu)
         value = Fraction(value)
         old = self.entries.get(key)
         if old is None:
@@ -312,7 +312,7 @@ class HurwitzCache:
             self.dirty = True
         elif old != value:
             raise CacheConflictError(
-                f"cache conflict at g={g}, mu={mu}: {old} != {value}"
+                f"cache conflict at g={key[0]}, mu={key[1]}: {old} != {value}"
             )
 
     def merge(self, other: "HurwitzCache") -> None:
@@ -353,22 +353,19 @@ class HurwitzCache:
         self.dirty = False
 
 
-def _not_a_hurwitz_key(g: int, mu: Partition) -> str:
-    return f"cached key g={g}, mu=({','.join(map(str, mu))}) is not a Hurwitz key"
-
-
 def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with that path.
 
     Each line is validated once and stored directly: a key that repeats with
     a different value raises CacheConflictError, as `insert` would.  The
-    profile must be a JSON array of JSON integers that `as_partition` accepts,
-    the genus a JSON integer, and `num` and `den` strings equal to
-    `str(int(text))` (no `+`, space, underscore or leading zero) with
-    den > 0, so a line that `save` could not have written is refused rather
-    than silently rewritten; so are a fraction not in lowest terms and a
-    record with any other field.  A key with g < 0 or an empty profile is not
-    a Hurwitz key and is refused too; the first offending line is reported.
+    profile must be a JSON array of JSON integers in descending order, and
+    `num` and `den` strings equal to `str(int(text))` (no `+`, space,
+    underscore or leading zero) with den > 0, so a line that `save` could
+    not have written is refused rather than silently rewritten; so are a
+    fraction not in lowest terms and a record with any other field.  The key
+    must pass `hurwitz_key`.  The first offending line in file order is
+    reported as `PATH:LINE: malformed cache line: ` and the fault, with
+    `hurwitz_key`'s message for a fault in the key.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
@@ -381,15 +378,12 @@ def cache_load(path: str) -> HurwitzCache:
                 continue
             try:
                 rec = json.loads(line)
-                g = rec["g"]
-                if type(g) is not int:
-                    raise ValueError(f"genus is not an integer: {g!r}")
                 mu = rec["mu"]
                 if type(mu) is not list or any(type(p) is not int for p in mu):
                     raise ValueError(f"profile is not a list of integers: {mu!r}")
-                mu = tuple(mu)
-                if mu and (mu[-1] < 1 or mu != tuple(sorted(mu, reverse=True))):
-                    raise ValueError(f"not a partition: {mu!r}")
+                g, key_mu = hurwitz_key(rec["g"], mu)
+                if list(key_mu) != mu:
+                    raise ValueError(f"not a partition: {tuple(mu)!r}")
                 num_text, den_text = rec["num"], rec["den"]
                 num, den = int(num_text), int(den_text)
                 if str(num) != num_text or str(den) != den_text:
@@ -403,11 +397,9 @@ def cache_load(path: str) -> HurwitzCache:
                     raise ValueError(f"unexpected fields: {sorted(rec.keys() - {'g', 'mu', 'num', 'den'})}")
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
-            if g < 0 or not mu:
-                raise ValueError(f"{path}: {_not_a_hurwitz_key(g, mu)}")
-            old = entries.setdefault((g, mu), value)
+            old = entries.setdefault((g, key_mu), value)
             if old is not value and old != value:
-                raise CacheConflictError(f"cache conflict at g={g}, mu={mu}: {old} != {value}")
+                raise CacheConflictError(f"cache conflict at g={g}, mu={key_mu}: {old} != {value}")
     return cache
 
 
@@ -549,8 +541,7 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
     is raised: every evaluation checks that the value is again a multiple of
     1/2.
     """
-    lam = sort_to_partition(mu)
-    ramification(g, lam)  # validates g and lam
+    g, lam = hurwitz_key(g, mu)
     store = cache if cache is not None else HurwitzCache()
     known = store.entries
     if (g, lam) in known:
@@ -604,8 +595,7 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
 
 def one_part_genus0(n: int) -> Fraction:
     """Genus-zero one-part value n^(n-3), exact also for n = 1, 2."""
-    if n < 1:
-        raise ValueError("n must be positive")
+    hurwitz_key(0, (n,))
     return Fraction(n) ** (n - 3)
 
 
@@ -615,8 +605,7 @@ def one_part_closed(g: int, n: int) -> Fraction:
     (1/(n! n)) sum_s (-1)^s binom(n-1, s) (binom(n,2) - n s)^(n-1+2g); the
     exponent pairs the part count n with the 2g extra branch points.
     """
-    if g < 0 or n < 1:
-        raise ValueError("need g >= 0 and n >= 1")
+    hurwitz_key(g, (n,))
     e = n - 1 + 2 * g
     total = sum(
         (-1) ** s * comb(n - 1, s) * (comb(n, 2) - n * s) ** e for s in range(n)
@@ -626,8 +615,7 @@ def one_part_closed(g: int, n: int) -> Fraction:
 
 def one_part_closed_stirling(g: int, n: int) -> Fraction:
     """Same one-part value rearranged as a Stirling-number sum."""
-    if g < 0 or n < 1:
-        raise ValueError("need g >= 0 and n >= 1")
+    hurwitz_key(g, (n,))
     total = sum(
         comb(n - 1 + 2 * g, n - 1 + r)
         * comb(n, 2) ** (2 * g - r)
@@ -655,7 +643,7 @@ def two_part_genus0(mu1: int, mu2: int) -> Fraction:
     (1/sigma) ((mu1+mu2)!/(mu1+mu2)) (mu1^mu1/mu1!) (mu2^mu2/mu2!) with
     sigma = 2 exactly when the parts coincide.
     """
-    if not mu1 >= mu2 >= 1:
+    if hurwitz_key(0, (mu1, mu2))[1] != (mu1, mu2):
         raise ValueError("need mu1 >= mu2 >= 1")
     sigma = 2 if mu1 == mu2 else 1
     n = mu1 + mu2

@@ -45,10 +45,27 @@ def cover_args(d: int, r: int, mu: Iterable[int]) -> Partition:
 
 def sort_to_partition(k: Iterable[int]) -> Partition:
     """Canonical partition underlying a multi-index (descending sort)."""
-    t = tuple(sorted(k, reverse=True))
+    t = tuple(k)
     if not all(type(p) is int and p >= 1 for p in t):
-        raise ValueError(f"not a multi-index of positive integers: {t!r}")
-    return t
+        raise ValueError(f"not a partition: {t!r}")
+    return tuple(sorted(t, reverse=True))
+
+
+def hurwitz_key(g: int, mu: Iterable[int]) -> tuple[int, Partition]:
+    """The canonical key (g, mu sorted descending) of a connected Hurwitz number.
+
+    A key is an exact `int` genus g >= 0 and a nonempty multi-index of exact
+    positive `int`s; anything else raises ValueError, with one message per
+    fault for every caller: library calls, cache lines and argv alike.
+    """
+    if type(g) is not int:
+        raise ValueError(f"genus is not an integer: {g!r}")
+    if g < 0:
+        raise ValueError("genus must be non-negative")
+    mu = sort_to_partition(mu)
+    if not mu:
+        raise ValueError("empty ramification profile")
+    return g, mu
 
 
 def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
@@ -140,19 +157,7 @@ def content_sum(lam: Partition) -> int:
     return total // 2
 
 
-def ramification(g: int, k: Sequence[int]) -> int:
-    """Number of simple branch points forced by genus g and profile k: 2g - 2 + len(k) + sum(k).
-
-    The empty profile is rejected: the covering theory indexes nonempty
-    ramification profiles only.
-    """
-    if type(g) is not int:
-        raise ValueError(f"genus is not an integer: {g!r}")
-    if g < 0:
-        raise ValueError("genus must be non-negative")
-    k = tuple(k)
-    if not k:
-        raise ValueError("empty ramification profile")
-    if any(type(p) is not int or p < 1 for p in k):
-        raise ValueError(f"profile parts must be positive integers: {k!r}")
+def ramification(g: int, k: Iterable[int]) -> int:
+    """Number of simple branch points forced by the Hurwitz key (g, k): 2g - 2 + len(k) + sum(k)."""
+    g, k = hurwitz_key(g, k)
     return 2 * g - 2 + len(k) + sum(k)

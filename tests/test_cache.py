@@ -34,6 +34,15 @@ def test_save_load_roundtrip(tmp_path):
     assert loaded.path == path and not loaded.dirty
 
 
+def test_insert_stores_at_the_canonical_key_that_load_gives_back(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    cache = HurwitzCache(path)
+    cache.insert(0, (1, 2), Fraction(4))
+    assert cache.entries == {(0, (2, 1)): 4}
+    cache.save()
+    assert cache_load(path).entries == {(0, (2, 1)): 4}
+
+
 def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     cache = HurwitzCache(str(path))
@@ -171,8 +180,8 @@ def test_load_accepts_any_spacing_and_key_order(tmp_path):
     [
         (True, (2,), "genus is not an integer: True"),
         (1.5, (3,), "genus is not an integer: 1.5"),
-        (-1, (2,), "cached key g=-1, mu=(2) is not a Hurwitz key"),
-        (0, (), "cached key g=0, mu=() is not a Hurwitz key"),
+        (-1, (2,), "genus must be non-negative"),
+        (0, (), "empty ramification profile"),
         (0, (True,), "not a partition: (True,)"),
     ],
 )
@@ -239,21 +248,27 @@ def test_load_refuses_exactly_the_profiles_as_partition_refuses(tmp_path, mu):
         if not expected:
             with pytest.raises(ValueError) as info:
                 cache_load(str(path))
-            assert str(info.value) == f"{path}: cached key g=1, mu=() is not a Hurwitz key"
+            assert str(info.value) == f"{path}:2: malformed cache line: empty ramification profile"
         else:
             assert list(cache_load(str(path)).entries.items()) == [((0, (1,)), 1), ((1, expected), 1)]
 
 
-@pytest.mark.parametrize("g, mu", [(-1, [2]), (-3, [1, 1]), (0, [])])
-def test_load_refuses_a_key_that_is_not_a_hurwitz_key(tmp_path, g, mu):
+@pytest.mark.parametrize(
+    "g, mu, fault",
+    [
+        (-1, [2], "genus must be non-negative"),
+        (-3, [1, 1], "genus must be non-negative"),
+        (0, [], "empty ramification profile"),
+    ],
+)
+def test_load_refuses_a_key_that_is_not_a_hurwitz_key(tmp_path, g, mu, fault):
     # The value 1/2 passes every value check, so only the key is at fault.
     path = tmp_path / "c.jsonl"
     line = json.dumps({"g": g, "mu": mu, "num": "1", "den": "2"}, separators=(",", ":"))
     path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n' + line + "\n")
     with pytest.raises(ValueError) as info:
         cache_load(str(path))
-    mu_text = ",".join(map(str, mu))
-    assert str(info.value) == f"{path}: cached key g={g}, mu=({mu_text}) is not a Hurwitz key"
+    assert str(info.value) == f"{path}:2: malformed cache line: {fault}"
 
 
 def test_load_reports_the_first_offending_line_in_file_order(tmp_path):
@@ -263,7 +278,7 @@ def test_load_reports_the_first_offending_line_in_file_order(tmp_path):
     path.write_text(key + malformed)
     with pytest.raises(ValueError) as info:
         cache_load(str(path))
-    assert str(info.value) == f"{path}: cached key g=-1, mu=(2) is not a Hurwitz key"
+    assert str(info.value) == f"{path}:1: malformed cache line: genus must be non-negative"
     path.write_text(malformed + key)
     with pytest.raises(ValueError) as info:
         cache_load(str(path))

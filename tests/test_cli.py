@@ -107,6 +107,9 @@ def test_every_method_gives_the_genus_zero_two_part_value(capsys, method):
         (("table", "--nmax", "-1"), "bounds must be non-negative"),
         (("table", "--gmax", "-1"), "bounds must be non-negative"),
         (("compute", "0", "1^0"), "empty partition"),
+        (("table", "--weight", "6"), "weight must be between 1 and nmax (5)"),
+        (("table", "--weight", "0"), "weight must be between 1 and nmax (5)"),
+        (("table", "--weight", "7", "--nmax", "5"), "weight must be between 1 and nmax (5)"),
     ],
 )
 def test_usage_error_exits_2_with_one_error_line(capsys, isolated_cache, argv, message):
@@ -487,18 +490,30 @@ def test_cache_keeps_the_theorems_exceptions(capsys, isolated_cache):
 
 
 @pytest.mark.parametrize("argv", [("compute", "0", "2"), ("cache", "stats")])
-@pytest.mark.parametrize("g, mu, num, den", [(-1, [2], 1, 2), (0, [], 1, 1)])
-def test_cache_key_that_is_not_a_hurwitz_key_exits_2(capsys, isolated_cache, argv, g, mu, num, den):
+@pytest.mark.parametrize(
+    "g, mu, num, den, fault",
+    [(-1, [2], 1, 2, "genus must be non-negative"), (0, [], 1, 1, "empty ramification profile")],
+)
+def test_cache_key_that_is_not_a_hurwitz_key_exits_2(capsys, isolated_cache, argv, g, mu, num, den, fault):
     # Each value passes the integrality check, so only the key is at fault.
     _write_cache(isolated_cache, [(g, mu, num, den)])
     with open(isolated_cache, encoding="ascii") as fh:
         before = fh.read()
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    mu_text = ",".join(map(str, mu))
-    assert err == f"error: {isolated_cache}: cached key g={g}, mu=({mu_text}) is not a Hurwitz key\n"
+    assert err == f"error: {isolated_cache}:1: malformed cache line: {fault}\n"
     with open(isolated_cache, encoding="ascii") as fh:
         assert fh.read() == before
+
+
+def test_compute_checks_the_key_before_it_reads_the_cache(capsys, isolated_cache):
+    with open(isolated_cache, "w", encoding="ascii") as fh:
+        fh.write("not json\n")
+    code, out, err = run(capsys, "compute", "-1", "2")
+    assert code == 2 and out == ""
+    assert err == "error: genus must be non-negative\n"
+    with open(isolated_cache, encoding="ascii") as fh:
+        assert fh.read() == "not json\n"
 
 
 @pytest.mark.parametrize("argv", [("compute", "1", "3"), ("compute", "0", "2"), ("cache", "stats")])

@@ -390,11 +390,11 @@ def test_normalized_form_of_recursion(shared_cache):
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: one_part_genus0(0), "n must be positive"),
-        (lambda: one_part_closed(-1, 3), "need g >= 0 and n >= 1"),
-        (lambda: one_part_closed(0, 0), "need g >= 0 and n >= 1"),
-        (lambda: one_part_closed_stirling(-1, 3), "need g >= 0 and n >= 1"),
-        (lambda: one_part_closed_stirling(0, 0), "need g >= 0 and n >= 1"),
+        (lambda: one_part_genus0(0), "not a partition: (0,)"),
+        (lambda: one_part_closed(-1, 3), "genus must be non-negative"),
+        (lambda: one_part_closed(0, 0), "not a partition: (0,)"),
+        (lambda: one_part_closed_stirling(-1, 3), "genus must be non-negative"),
+        (lambda: one_part_closed_stirling(0, 0), "not a partition: (0,)"),
         (lambda: stirling2(-1, 0), "arguments must be non-negative"),
         (lambda: stirling2(0, -1), "arguments must be non-negative"),
         (lambda: engine.GenSeries(-1, 0), "bounds must be non-negative"),

@@ -1,15 +1,25 @@
+import json
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from hurwitz import (
+    HurwitzCache,
+    cache_load,
     centralizer_order,
+    coefficient_audit,
     conj_class_size,
     conjugate,
+    connected_from_log,
     content_sum,
     dim_irrep,
     hook_product,
+    hurwitz_key,
+    hurwitz_number,
+    one_part_closed,
+    one_part_closed_stirling,
     partitions_of,
     ramification,
     sort_to_partition,
@@ -179,14 +189,16 @@ def test_ramification_refuses_a_genus_that_is_not_an_int(g):
     assert str(info.value) == f"genus is not an integer: {g!r}"
 
 
-@pytest.mark.parametrize("parts", [(True,), (2, True), (True, True, True), (2.5,), (2, 1.0)])
+@pytest.mark.parametrize(
+    "parts", [(True,), (2, True), (True, True, True), (2.5,), (2, 1.0), (2, "1"), (2, None)]
+)
 def test_partition_checks_refuse_bools(parts):
     assert not is_partition(parts)
     with pytest.raises(ValueError):
         as_partition(parts)
     with pytest.raises(ValueError):
         sort_to_partition(parts)
-    with pytest.raises(ValueError, match="profile parts must be positive integers"):
+    with pytest.raises(ValueError, match="not a partition"):
         ramification(0, parts)
 
 
@@ -212,3 +224,48 @@ def test_multiindex_functions_are_permutation_invariant(lam, rng):
     assert sort_to_partition(shuffled) == lam
     if lam:
         assert ramification(2, shuffled) == ramification(2, lam)
+
+
+def test_hurwitz_key_returns_the_sorted_profile():
+    assert hurwitz_key(0, (1,)) == (0, (1,))
+    assert hurwitz_key(2, [1, 3, 1]) == (2, (3, 1, 1))
+    assert hurwitz_key(5, iter((2, 4))) == (5, (4, 2))
+
+
+BAD_KEYS = [
+    (True, (2,), "genus is not an integer: True"),
+    (1.5, (3,), "genus is not an integer: 1.5"),
+    (-1, (2,), "genus must be non-negative"),
+    (0, (), "empty ramification profile"),
+    (0, (2, 0), "not a partition: (2, 0)"),
+    (0, (True,), "not a partition: (True,)"),
+    (0, (2, "1"), "not a partition: (2, '1')"),
+]
+
+
+@pytest.mark.parametrize("g, mu, message", BAD_KEYS)
+def test_every_entry_point_refuses_a_bad_key_with_one_message(tmp_path, g, mu, message):
+    cache = HurwitzCache()
+    calls = [
+        hurwitz_key,
+        ramification,
+        hurwitz_number,
+        connected_from_log,
+        coefficient_audit,
+        lambda g, mu: cache.insert(g, mu, Fraction(1, 2)),
+    ]
+    if len(mu) == 1:
+        calls += [lambda g, mu: one_part_closed(g, mu[0]), lambda g, mu: one_part_closed_stirling(g, mu[0])]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call(g, mu)
+        assert str(info.value) == message
+    assert cache.entries == {} and not cache.dirty
+    # A cache line carries the same key when the loader's JSON-type check
+    # lets it through: a JSON array of JSON integers (a bool is not one).
+    if all(type(p) is int for p in mu):
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"g": g, "mu": list(mu), "num": "1", "den": "2"}) + "\n")
+        with pytest.raises(ValueError) as info:
+            cache_load(str(path))
+        assert str(info.value) == f"{path}:1: malformed cache line: {message}"
