@@ -193,8 +193,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(sys, "set_int_max_str_digits"):
-        # Exact values and cached numerators may exceed the default 4300 digits.
+    # Exact values may exceed the default 4300 digits; the caller's limit comes back.
+    old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
         status = _dispatch(args)
@@ -222,6 +223,9 @@ def main(argv: list[str] | None = None) -> int:
         # e.g. a part count or a factorial beyond a machine-sized integer
         print(f"error: the input is too large: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    finally:
+        if old_limit is not None:
+            sys.set_int_max_str_digits(old_limit)
 
 
 def _load_cache(flag_value: str | None) -> HurwitzCache:
@@ -258,6 +262,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "table":
         if args.gmax < 0 or args.nmax < 0:
             raise UsageError("bounds must be non-negative")
+        if args.nmax == 0:
+            raise UsageError("nmax must be at least 1")
         if args.weight is not None and not 1 <= args.weight <= args.nmax:
             raise UsageError(f"weight must be between 1 and nmax ({args.nmax})")
         cache = _load_cache(args.cache)

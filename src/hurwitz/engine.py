@@ -16,7 +16,6 @@ import json
 import os
 from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable
 
@@ -31,7 +30,7 @@ from .partitions import (
     partitions_of,
     ramification,
 )
-from .symfunc import PowerSumPoly, _character, cut_and_join
+from .symfunc import CharMemo, PowerSumPoly, _character, cut_and_join
 
 SeriesKey = tuple[int, int, Partition]
 
@@ -167,7 +166,7 @@ def disconnected_count_charsum(d: int, r: int, mu: Iterable[int]) -> Fraction:
     Sum over lam of d of (dim lam / d!) (content_sum lam)^r chi^lam_mu / z_mu.
     """
     mu = cover_args(d, r, mu)
-    return _charsum_counts(_irreps(d), mu, (r,))[0]
+    return _charsum_counts(_irreps(d), mu, (r,), {})[0]
 
 
 def _irreps(d: int) -> list[tuple[Partition, int, int]]:
@@ -176,7 +175,7 @@ def _irreps(d: int) -> list[tuple[Partition, int, int]]:
 
 
 def _charsum_counts(
-    irreps: list[tuple[Partition, int, int]], mu: Partition, rs: Iterable[int]
+    irreps: list[tuple[Partition, int, int]], mu: Partition, rs: Iterable[int], memo: CharMemo
 ) -> list[Fraction]:
     """The character sum at mu for each r in rs.
 
@@ -187,47 +186,42 @@ def _charsum_counts(
     """
     weights = []
     for lam, dim, c in irreps:
-        chi = _character(lam, mu)
+        chi = _character(lam, mu, memo)
         if chi:
             weights.append((c, dim * chi))
     den = factorial(sum(mu)) * centralizer_order(mu)
     return [Fraction(sum(w * c**r for c, w in weights), den) for r in rs]
 
 
-@lru_cache(maxsize=None)
-def _operator_power(d: int, r: int) -> PowerSumPoly:
-    """r-fold cut-and-join image of p_1^d (no 1/d! normalization)."""
-    if r == 0:
-        return PowerSumPoly.monomial((1,) * d)
-    return cut_and_join(_operator_power(d, r - 1))
-
-
 def covering_series(d_max: int, r_max: int) -> GenSeries:
-    """Generating series of disconnected counts, built by operator powers."""
+    """Generating series of disconnected counts, built by operator powers:
+    each cut-and-join power of p_1^d is taken from the one before."""
     out = GenSeries(d_max, r_max)
     for d in range(d_max + 1):
-        # ascending r, so `_operator_power` recurses at most one level
+        inv = Fraction(1, factorial(d))
         for r in range(r_max + 1):
-            poly = _operator_power(d, r)
-            inv = Fraction(1, factorial(d))
+            poly = cut_and_join(poly) if r else PowerSumPoly.monomial((1,) * d)
             for mu, c in poly.terms.items():
                 out.set(d, r, mu, c * inv)
     return out
 
 
 def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
-    """Generating series of disconnected counts, built by character sums."""
+    """Generating series of disconnected counts, built by character sums; one
+    character memo serves every d, as the border strips reach smaller sizes."""
     out = GenSeries(d_max, r_max)
     out.set(0, 0, (), 1)
+    memo: CharMemo = {}
     for d in range(1, d_max + 1):
         irreps = _irreps(d)
         for mu in partitions_of(d):
-            for r, value in enumerate(_charsum_counts(irreps, mu, range(r_max + 1))):
+            for r, value in enumerate(_charsum_counts(irreps, mu, range(r_max + 1), memo)):
                 out.set(d, r, mu, value)
     return out
 
 
-# Grow-on-demand store of logged covering series, one per construction route.
+# Grow-on-demand store of logged covering series, one per construction route: the
+# one process-long memo, as `connected_from_log` is asked per key with no table passed.
 _log_tables: dict[str, GenSeries] = {}
 
 _SERIES_BUILDERS = {

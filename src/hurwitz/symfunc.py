@@ -110,10 +110,7 @@ class PowerSumPoly:
 # ---------------------------------------------------------------------------
 # characters
 
-# Memo table for character values.  Keys are canonical (lam, mu) pairs; values
-# are ints.  Concurrent readers are safe under the GIL and inserts are
-# idempotent (the recursion is deterministic), so no locking is needed.
-_char_memo: dict[tuple[Partition, Partition], int] = {}
+CharMemo = dict[tuple[Partition, Partition], int]  # (lam, mu) -> value, owned by one build
 
 
 def _strip_removals(lam: Partition, size: int):
@@ -144,32 +141,32 @@ def character(lam: Partition, mu: Partition) -> int:
 
     Computed by recursive border-strip removal: peel a strip of length mu_1
     in all possible ways, recurse on the remainder, and weight each branch by
-    the strip sign.
+    the strip sign; the memo of (lam, mu) values lasts for this one call.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if sum(lam) != sum(mu):
         raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _character(lam, mu)
+    return _character(lam, mu, {})
 
 
-def _character(lam: Partition, mu: Partition) -> int:
+def _character(lam: Partition, mu: Partition, memo: CharMemo) -> int:
     if not mu:
         return 1
     key = (lam, mu)
-    hit = _char_memo.get(key)
+    hit = memo.get(key)
     if hit is not None:
         return hit
-    val = sum(sign * _character(rest, mu[1:]) for sign, rest in _strip_removals(lam, mu[0]))
-    _char_memo[key] = val
+    val = sum(sign * _character(rest, mu[1:], memo) for sign, rest in _strip_removals(lam, mu[0]))
+    memo[key] = val
     return val
 
 
 def schur_in_power_sums(lam: Partition) -> PowerSumPoly:
     """Schur function expanded in the power-sum basis: sum over mu of chi/z_mu p_mu."""
     lam = as_partition(lam)
-    terms = {}
+    terms, memo = {}, {}
     for mu in partitions_of(sum(lam)):
-        chi = character(lam, mu)
+        chi = _character(lam, mu, memo)
         if chi:
             terms[mu] = Fraction(chi, centralizer_order(mu))
     return PowerSumPoly(terms)

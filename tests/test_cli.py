@@ -110,6 +110,7 @@ def test_every_method_gives_the_genus_zero_two_part_value(capsys, method):
         (("table", "--weight", "6"), "weight must be between 1 and nmax (5)"),
         (("table", "--weight", "0"), "weight must be between 1 and nmax (5)"),
         (("table", "--weight", "7", "--nmax", "5"), "weight must be between 1 and nmax (5)"),
+        (("table", "--nmax", "0"), "nmax must be at least 1"),
     ],
 )
 def test_usage_error_exits_2_with_one_error_line(capsys, isolated_cache, argv, message):
@@ -559,6 +560,18 @@ def no_int_digit_limit():
     sys.set_int_max_str_digits(0)
     try:
         yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+@pytest.mark.parametrize("argv, status", [(("cache", "path"), 0), (("compute", "0", "x"), 2)])
+def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys, argv, status):
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        assert run(capsys, *argv)[0] == status
+        assert sys.get_int_max_str_digits() == 5000
     finally:
         sys.set_int_max_str_digits(old)
 

@@ -64,6 +64,37 @@ def test_charsum_series_leaves_argument_checks_to_the_public_character(monkeypat
         symfunc.character((2, 1), (2,))
 
 
+def _count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call through it is counted."""
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_each_operator_series_build_applies_cut_and_join_itself(monkeypatch):
+    calls = _count_calls(monkeypatch, engine, "cut_and_join")
+    for _ in range(2):
+        calls.clear()
+        covering_series(6, 6)
+        assert len(calls) == 7 * 6  # once per step of r, for each d = 0..6
+
+
+def test_each_charsum_series_build_computes_its_characters_itself(monkeypatch):
+    calls = _count_calls(monkeypatch, symfunc, "_strip_removals")
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        engine.covering_series_charsum(6, 6)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
 def test_disconnected_operator_examples():
     table = covering_series(3, 2)
     assert table[(2, 1, (2,))] == Fraction(1, 2)
@@ -90,7 +121,6 @@ def test_hurwitz_number_refuses_a_key_that_is_not_made_of_ints(g, mu):
 
 
 def test_disconnected_operator_at_a_branch_count_beyond_the_recursion_limit():
-    engine._operator_power.cache_clear()
     table = covering_series(2, 1201)
     # The image alternates p_1^2 -> p_2 -> p_1^2, and p_1 maps to zero.
     assert table[(2, 1201, (2,))] == Fraction(1, 2)

@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is read somewhere in that module."""
+"""Source guards over the package's modules: every name a module imports is read
+somewhere in it, and no module keeps a memo of its own."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,76 @@ def test_module_reads_every_name_it_imports(path):
 def test_the_guard_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom math import comb, factorial as f\nf(3)\n"
     assert unused_imports(source) == ["os", "comb"]
+
+
+# The logged covering series are asked for one key at a time by
+# `connected_from_log`, whose callers have no build to own the table, so
+# `engine._log_tables` is the one memo kept for the life of the process.
+ALLOWED_MEMOS = {("engine.py", "_log_tables")}
+MEMO_DECORATORS = {"lru_cache", "cache"}
+EMPTY_CONTAINERS = {"dict", "list", "set"}
+
+
+def _called_name(node: ast.expr) -> str | None:
+    """The name a decorator or call refers to: `f`, `functools.f`, or either called."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _is_empty_container(node: ast.expr | None) -> bool:
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, ast.List):
+        return not node.elts
+    if not isinstance(node, ast.Call) or node.keywords:
+        return False
+    name = _called_name(node)
+    if name == "defaultdict":
+        return len(node.args) <= 1  # a factory but no initial items
+    return name in EMPTY_CONTAINERS and not node.args
+
+
+def module_memos(source: str) -> list[str]:
+    """Functions decorated with `lru_cache` or `cache`, and module-level names
+    bound to an empty dict, list, set or defaultdict."""
+    tree = ast.parse(source)
+    found = [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
+        and any(_called_name(dec) in MEMO_DECORATORS for dec in node.decorator_list)
+    ]
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Assign):
+            targets, value = stmt.targets, stmt.value
+        elif isinstance(stmt, ast.AnnAssign):
+            targets, value = [stmt.target], stmt.value
+        else:
+            continue
+        if _is_empty_container(value):
+            found += [t.id for t in targets if isinstance(t, ast.Name)]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_keeps_no_memo_of_its_own(path):
+    memos = module_memos(path.read_text(encoding="utf-8"))
+    assert [name for name in memos if (path.name, name) not in ALLOWED_MEMOS] == []
+
+
+def test_the_guard_finds_a_module_memo():
+    source = (
+        "import functools\nfrom collections import defaultdict\n"
+        "@functools.lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@functools.cache\ndef b(): pass\n"
+        "class K:\n    @lru_cache\n    def c(self): pass\n"
+        "d: dict[int, int] = {}\ne = f = []\ng = set()\nh = dict()\ni = defaultdict(list)\n"
+        "kept = {1: 2}\nitems = [3]\nfrom_data = dict(x=1)\nnot_a_memo = tuple()\n"
+        "def local():\n    memo = {}\n    return memo\n"
+    )
+    assert module_memos(source) == ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
