@@ -298,28 +298,44 @@ class HurwitzCache:
         A key that `hurwitz_key` refuses raises its ValueError, so the cache
         never holds a key that `save` would write and `cache_load` refuse.
         """
-        key = hurwitz_key(g, mu)
-        value = Fraction(value)
+        if self._store(hurwitz_key(g, mu), Fraction(value)):
+            self.dirty = True
+
+    def _store(self, key: tuple[int, Partition], value: Fraction) -> bool:
+        """Store a value at a key `hurwitz_key` has made canonical; True when
+        the key is new.  The one conflict rule for values from outside the
+        recursion (`insert`, `merge`, `cache_load`): a key already held with
+        a different value raises CacheConflictError."""
         old = self.entries.get(key)
         if old is None:
             self.entries[key] = value
-            self.dirty = True
-        elif old != value:
-            raise CacheConflictError(
-                f"cache conflict at g={key[0]}, mu={key[1]}: {old} != {value}"
-            )
+            return True
+        if old != value:
+            raise CacheConflictError(f"cache conflict at g={key[0]}, mu={key[1]}: {old} != {value}")
+        return False
 
     def merge(self, other: "HurwitzCache") -> None:
-        for (g, mu), value in other.entries.items():
-            self.insert(g, mu, value)
+        """Store every entry of another cache, whose keys are canonical already."""
+        for key, value in other.entries.items():
+            if self._store(key, value):
+                self.dirty = True
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def save(self) -> None:
+        """Write the cache to its path, merged with the file already there.
+
+        The file is reloaded and merged first, so entries another run saved
+        since this cache was loaded are kept; a value on disk that disagrees
+        with this cache raises CacheConflictError and leaves the file as it
+        is.  Two runs can still race between the reload and the rename.
+        """
         path = self.path
         if not path:
             raise ValueError("no cache path configured")
+        if os.path.exists(path):
+            self.merge(cache_load(path))
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -350,33 +366,33 @@ class HurwitzCache:
 def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with that path.
 
-    Each line is validated once and stored directly: a key that repeats with
-    a different value raises CacheConflictError, as `insert` would.  The
-    profile must be a JSON array of JSON integers in descending order, and
-    `num` and `den` strings equal to `str(int(text))` (no `+`, space,
-    underscore or leading zero) with den > 0, so a line that `save` could
-    not have written is refused rather than silently rewritten; so are a
-    fraction not in lowest terms and a record with any other field.  The key
-    must pass `hurwitz_key`.  The first offending line in file order is
+    Each line is checked once and stored by `insert`'s conflict rule: a key
+    that repeats with a different value raises CacheConflictError.  A line
+    must be ASCII; the profile must be a JSON array that passes `hurwitz_key`
+    and is already in descending order, and `num` and `den` strings equal to
+    `str(int(text))` (no `+`, space, underscore or leading zero) with
+    den > 0, so a line that `save` could not have written is refused rather
+    than silently rewritten; so are a fraction not in lowest terms and a
+    record with any other field.  The first offending line in file order is
     reported as `PATH:LINE: malformed cache line: ` and the fault, with
     `hurwitz_key`'s message for a fault in the key.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
         return cache
-    entries = cache.entries
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    with open(path, "rb") as fh:
+        # bytes.splitlines ends lines where text mode's universal newlines do
+        for lineno, line in enumerate(fh.read().splitlines(), start=1):
             try:
+                line = line.decode("ascii").strip()
+                if not line:
+                    continue
                 rec = json.loads(line)
                 mu = rec["mu"]
-                if type(mu) is not list or any(type(p) is not int for p in mu):
+                if type(mu) is not list:
                     raise ValueError(f"profile is not a list of integers: {mu!r}")
-                g, key_mu = hurwitz_key(rec["g"], mu)
-                if list(key_mu) != mu:
+                key = hurwitz_key(rec["g"], mu)
+                if list(key[1]) != mu:
                     raise ValueError(f"not a partition: {tuple(mu)!r}")
                 num_text, den_text = rec["num"], rec["den"]
                 num, den = int(num_text), int(den_text)
@@ -391,9 +407,7 @@ def cache_load(path: str) -> HurwitzCache:
                     raise ValueError(f"unexpected fields: {sorted(rec.keys() - {'g', 'mu', 'num', 'den'})}")
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
-            old = entries.setdefault((g, key_mu), value)
-            if old is not value and old != value:
-                raise CacheConflictError(f"cache conflict at g={g}, mu={key_mu}: {old} != {value}")
+            cache._store(key, value)
     return cache
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import CacheConflictError, HurwitzCache, cache_load, hurwitz_number
 from hurwitz.analysis import keys_with_ramification_at_most
@@ -106,6 +106,12 @@ def test_load_repeated_key_with_a_different_value_is_a_conflict(tmp_path):
     )
     with pytest.raises(CacheConflictError, match=r"g=0, mu=\(3,\): 1 != 2"):
         cache_load(str(path))
+
+
+def test_load_ends_lines_where_text_mode_does(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"g":0,"mu":[2],"num":"1","den":"2"}\r{"g":1,"mu":[3],"num":"27","den":"1"}\r\n\x0c\n')
+    assert cache_load(str(path)).entries == {(0, (2,)): Fraction(1, 2), (1, (3,)): 27}
 
 
 def test_load_rejects_a_profile_that_is_not_a_partition(tmp_path):
@@ -225,19 +231,21 @@ def _reference_load(path):
         [1, 2], [2, 1, 2],  # ascending
         [0], [2, 0], [3, 1, 0],  # zero
         [-1], [2, -1],  # negative
-        ["2", "1"], [2.0, 1], [True], "21", {"2": 0, "1": 0},  # not a list of integers
+        ["2", "1"], [2.0, 1], [True],  # a list, but not of integers
+        "21", {"2": 0, "1": 0},  # not a list
         [""], [2, ""],  # empty string
         ["x"], [2, "1.5"], [None], 7,  # not numeric
     ],
 )
 def test_load_refuses_exactly_the_profiles_as_partition_refuses(tmp_path, mu):
-    # `save` writes a profile as a JSON array of JSON integers, so any other
-    # JSON value is refused before `as_partition` sees it.
+    # `save` writes a profile as a JSON array, so any other JSON value is
+    # refused before `as_partition` sees it; an array item that is not a JSON
+    # integer gets `as_partition`'s message.
     path = tmp_path / "c.jsonl"
     line = json.dumps({"g": 1, "mu": mu, "num": "1", "den": "1"})
     path.write_text('{"g":0,"mu":[1],"num":"1","den":"1"}\n' + line + "\n")
     try:
-        if type(mu) is not list or any(type(p) is not int for p in mu):
+        if type(mu) is not list:
             raise ValueError(f"profile is not a list of integers: {mu!r}")
         expected = as_partition(mu)
     except ValueError as exc:
@@ -285,6 +293,56 @@ def test_load_reports_the_first_offending_line_in_file_order(tmp_path):
     assert str(info.value) == f"{path}:1: malformed cache line: not a partition: (1, 2)"
 
 
+# JSON fragments for each field of a cache record: mostly what `save` writes,
+# on few enough keys that lines repeat and conflict; else a wrong JSON type,
+# or a decimal string or number past Python's default 4,300-digit limit for
+# int/str conversion.
+_WRONG_TYPES = st.one_of(
+    st.none(), st.booleans(), st.floats(allow_nan=False), st.text(max_size=3),
+    st.lists(st.one_of(st.integers(-1, 4), st.text(max_size=1), st.booleans()), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+).map(json.dumps)
+_LONG_DIGITS = st.integers(4290, 4310).map(lambda n: "9" * n)
+_FIELDS = {
+    "g": (st.integers(0, 1).map(str), st.one_of(st.just("-1"), _WRONG_TYPES)),
+    "mu": (st.sampled_from(["[1]", "[2]", "[1,1]"]), st.one_of(st.just("[1,2]"), _WRONG_TYPES)),
+    "num": (st.sampled_from(['"1"', '"3"']), st.one_of(_LONG_DIGITS.map(json.dumps), _LONG_DIGITS, _WRONG_TYPES)),
+    "den": (st.sampled_from(['"1"', '"2"']), st.one_of(st.just('"0"'), _LONG_DIGITS.map(json.dumps), _WRONG_TYPES)),
+}
+
+
+@st.composite
+def _cache_lines(draw):
+    parts = []
+    for name, (good, bad) in _FIELDS.items():
+        if draw(st.integers(0, 49)):  # now and then a field is missing
+            parts.append(f'"{name}":{draw(good if draw(st.integers(0, 9)) else bad)}')
+    line = ("{" + ",".join(parts) + "}").encode()
+    cut = draw(st.integers(0, len(line)))
+    if draw(st.integers(0, 11)) == 0:
+        line = line[:cut]  # a truncated record
+    elif draw(st.integers(0, 11)) == 0:
+        line = line[:cut] + draw(st.sampled_from([b"\x00", b"\xc3\xa9", b"\xff", b"\x85", b"\r"])) + line[cut:]
+    return line
+
+
+@example([b'{"g":0,"mu":[2],"num":"1","den":"2","\xc3\xa9":1}'])
+@example([b'{"g":0,"mu":[3],"num":"1","den":"1"}', b'{"g":0,"mu":[3],"num":"2","den":"1"}'])
+@example([b'{"g":0,"mu":[2],"num":"1","den":"' + b"1" * 4301 + b'"}'])
+@example([b'{"g":0,"mu":[2],"num":' + b"1" * 4301 + b',"den":"1"}'])
+@settings(deadline=None)
+@given(st.lists(_cache_lines(), max_size=4))
+def test_load_of_any_bytes_loads_conflicts_or_names_the_line(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "c.jsonl"
+    path.write_bytes(b"\n".join(lines))
+    try:
+        cache_load(str(path))
+    except CacheConflictError:
+        pass
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:[1-9][0-9]*: malformed cache line: ", str(exc)), str(exc)
+
+
 def test_load_matches_the_plain_reader_on_every_key_up_to_branch_count_18(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = HurwitzCache(path)
@@ -322,6 +380,36 @@ def test_merge_of_agreeing_caches():
     b.insert(0, (3,), Fraction(1))
     a.merge(b)
     assert len(a) == 2
+
+
+def test_two_caches_saving_one_path_in_turn_keep_both_new_keys(tmp_path):
+    path = str(tmp_path / "cache.jsonl")
+    start = HurwitzCache(path)
+    start.insert(0, (1,), Fraction(1))
+    start.save()
+    a, b = cache_load(path), cache_load(path)
+    a.insert(0, (2,), Fraction(1, 2))
+    b.insert(1, (3,), Fraction(9))
+    a.save()
+    b.save()
+    assert cache_load(path).entries == {(0, (1,)): 1, (0, (2,)): Fraction(1, 2), (1, (3,)): 9}
+    assert not b.dirty
+
+
+def test_save_over_a_file_that_disagrees_is_a_conflict_and_keeps_the_file(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    disk = HurwitzCache(str(path))
+    disk.insert(1, (3,), Fraction(8))
+    disk.insert(0, (1,), Fraction(1))
+    disk.save()
+    before = path.read_bytes()
+    cache = HurwitzCache(str(path))
+    cache.insert(1, (3,), Fraction(9))
+    with pytest.raises(CacheConflictError) as info:
+        cache.save()
+    assert str(info.value) == "cache conflict at g=1, mu=(3,): 9 != 8"
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
 
 
 def test_save_is_byte_stable_and_order_independent(tmp_path):

@@ -541,6 +541,37 @@ def test_cache_line_that_save_could_not_have_written_exits_2(capsys, isolated_ca
         assert fh.read() == line + "\n"
 
 
+def test_cache_line_with_a_non_ascii_byte_exits_2(capsys, isolated_cache):
+    data = b'{"g":0,"mu":[1],"num":"1","den":"1"}\n{"g":0,"mu":[2],"num":"1","den":"2","\xc3\xa9":1}\n'
+    with open(isolated_cache, "wb") as fh:
+        fh.write(data)
+    code, out, err = run(capsys, "compute", "0", "3")
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {isolated_cache}:2: malformed cache line: 'ascii' codec can't decode byte 0xc3")
+    assert err.count("\n") == 1
+    with open(isolated_cache, "rb") as fh:
+        assert fh.read() == data
+
+
+def test_conflict_with_the_file_at_save_exits_2_and_keeps_the_file(capsys, isolated_cache, monkeypatch):
+    # Another run saves a different value for the key while this one computes.
+    computed = hurwitz.cli.cmd_compute
+
+    def compute_then_disk_changes(*args):
+        line = computed(*args)
+        _write_cache(isolated_cache, [(0, [3], 2, 1)])
+        return line
+
+    monkeypatch.setattr(hurwitz.cli, "cmd_compute", compute_then_disk_changes)
+    code, out, err = run(capsys, "compute", "0", "3")
+    assert code == 2
+    assert out.startswith("h_{0,(3)} = 1  # method=cj") and out.count("\n") == 1
+    assert err == "error: cache conflict at g=0, mu=(3,): 1 != 2\n"
+    with open(isolated_cache, encoding="ascii") as fh:
+        assert fh.read() == '{"g": 0, "mu": [3], "num": "2", "den": "1"}\n'
+    assert os.listdir(os.path.dirname(isolated_cache)) == ["cache.jsonl"]
+
+
 def _run_cli(*argv):
     """The CLI in a child process, so its lifted int/str digit limit stays there."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hurwitz.__file__)))

@@ -1,5 +1,6 @@
 """Source guards over the package's modules: every name a module imports is read
-somewhere in it, and no module keeps a memo of its own."""
+somewhere in it, no module keeps a memo of its own, and the cache has one
+conflict rule."""
 
 import ast
 from pathlib import Path
@@ -105,3 +106,43 @@ def test_the_guard_finds_a_module_memo():
         "def local():\n    memo = {}\n    return memo\n"
     )
     assert module_memos(source) == ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+
+
+def conflict_raises(source: str) -> int:
+    """How many `raise` statements raise CacheConflictError."""
+    return sum(
+        1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None and _called_name(node.exc) == "CacheConflictError"
+    )
+
+
+def merge_callers(source: str) -> list[str]:
+    """Functions other than `merge` itself that call a `merge`."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
+        and node.name != "merge"
+        and any(isinstance(call, ast.Call) and _called_name(call) == "merge" for call in ast.walk(node))
+    ]
+
+
+def test_the_cache_has_one_conflict_rule_and_merge_has_a_caller():
+    # Every value that enters a cache from outside the recursion goes through
+    # one conflict check, and `save` merges the file it replaces.
+    engine = next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8")
+    assert conflict_raises(engine) == 1
+    assert [caller for path in MODULES for caller in merge_callers(path.read_text(encoding="utf-8"))] != []
+
+
+def test_the_guard_counts_conflict_raises_and_merge_callers():
+    source = (
+        "class C:\n"
+        "    def merge(self, other):\n        self.merge(other)\n"
+        "    def check(self):\n        raise CacheConflictError('a')\n"
+        "def load():\n    if x:\n        raise CacheConflictError\n    raise ValueError('b')\n"
+        "def save(c):\n    c.merge(load())\n"
+    )
+    assert conflict_raises(source) == 2
+    assert merge_callers(source) == ["save"]
