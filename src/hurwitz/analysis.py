@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
 
 from . import engine, oracle, reference_data
-from .engine import HurwitzCache, _ledger, hurwitz_number, one_part_genus0
+from .engine import HurwitzCache, _ledger, hurwitz_number, integrality_check, one_part_genus0
 from .partitions import Partition, hurwitz_key, partitions_of, ramification
 
 
@@ -87,19 +87,6 @@ def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[
 
 # ---------------------------------------------------------------------------
 # integrality
-
-def integrality_check(g: int, mu: Partition, value: Fraction) -> tuple[str, bool]:
-    """The integrality theorem at one key: (which case applies, whether value obeys it).
-
-    Every value is a positive integer, except that profile (1) vanishes for
-    genus >= 1 and profiles (2), (1,1) equal one half for every genus.
-    """
-    if mu == (1,) and g >= 1:
-        return "exception-zero", value.numerator == 0
-    if mu in ((2,), (1, 1)):
-        return "exception-half", value.numerator == 1 and value.denominator == 2
-    return "positive-integer", value.denominator == 1 and value.numerator > 0
-
 
 def integrality_audit(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
     """Check `integrality_check` on every value in range."""

@@ -3,9 +3,8 @@ suites, scan parity data, and manage the persistent value cache.
 
 Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
-or unwritable cache path, a malformed cache line or cached key, a value
-the integrality theorem rules out, an input too large to hold in memory or
-to count with machine-sized integers),
+or unwritable cache path, a malformed cache line, an input too large to
+hold in memory or to count with machine-sized integers),
 141 when the reader closes stdout before the output is written.
 """
 
@@ -14,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 
@@ -25,6 +25,7 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 CLOSED_STDOUT = 141  # 128 + SIGPIPE, as a shell reports a process killed by it
 SHOWN_MISMATCHES = 10  # failing records printed under each verify line
+DECIMAL = re.compile("[0-9]+")  # ASCII digits only: no sign, space, underscore or other script
 
 
 class UsageError(ValueError):
@@ -33,7 +34,7 @@ class UsageError(ValueError):
 
 def parse_partition(text: str) -> Partition:
     """Parse comma-separated parts with exponent shorthand, e.g. "2,1^4"; each
-    number is ASCII decimal digits only (no sign, underscore or other script)."""
+    number matches `DECIMAL`."""
     parts: list[int] = []
     for token in text.split(","):
         token = token.strip()
@@ -41,7 +42,7 @@ def parse_partition(text: str) -> Partition:
             raise UsageError(f"empty part in partition {text!r}")
         base_text, caret, exp_text = token.partition("^")
         numbers = (base_text, exp_text) if caret else (base_text,)
-        if not all(n.isascii() and n.isdigit() for n in numbers):
+        if not all(map(DECIMAL.fullmatch, numbers)):
             raise UsageError(f"bad partition token {token!r}")
         base = int(base_text)
         if base < 1:
@@ -60,7 +61,9 @@ def default_cache_path() -> str:
     env = os.environ.get("HURWITZ_CACHE")
     if env:
         return env
-    base = os.environ.get("XDG_DATA_HOME", os.path.expanduser("~/.local/share"))
+    base = os.environ.get("XDG_DATA_HOME", "")
+    if not os.path.isabs(base):  # unset, empty or relative: the XDG default
+        base = os.path.expanduser("~/.local/share")
     return os.path.join(base, "hurwitz", "cache.jsonl")
 
 
@@ -158,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a single value")
-    p_compute.add_argument("g", type=int)
+    p_compute.add_argument("g")
     p_compute.add_argument("mu", help='partition, e.g. "2,1" or "2,1^4"')
     p_compute.add_argument(
         "--method", choices=("cj", "charsum", "operator", "closed", "oracle"), default="cj"
@@ -166,19 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--cache", default=None)
 
     p_table = sub.add_parser("table", help="render a table of values")
-    p_table.add_argument("--gmax", type=int, default=6)
-    p_table.add_argument("--nmax", type=int, default=5)
-    p_table.add_argument("--weight", type=int, default=None, help="restrict to |mu| equal to this")
+    p_table.add_argument("--gmax", default="6")
+    p_table.add_argument("--nmax", default="5")
+    p_table.add_argument("--weight", default=None, help="restrict to |mu| equal to this")
     p_table.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p_table.add_argument("--cache", default=None)
 
     p_verify = sub.add_parser("verify", help="run the verification suites")
-    p_verify.add_argument("--rmax", type=int, default=8)
+    p_verify.add_argument("--rmax", default="8")
     p_verify.add_argument("--with-oracle", action="store_true")
     p_verify.add_argument("--cache", default=None)
 
     p_parity = sub.add_parser("parity", help="scan parity data")
-    p_parity.add_argument("--rmax", type=int, default=14)
+    p_parity.add_argument("--rmax", default="14")
     p_parity.add_argument("--allow-long", action="store_true", help="unlock rmax beyond 14")
     p_parity.add_argument("--format", choices=("text", "json"), default="text")
     p_parity.add_argument("--cache", default=None)
@@ -228,21 +231,6 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(old_limit)
 
 
-def _load_cache(flag_value: str | None) -> HurwitzCache:
-    """Load the cache (`cache_load` refuses a key that `hurwitz_key` refuses)
-    and refuse any value the integrality theorem rules out."""
-    path = flag_value or default_cache_path()
-    cache = cache_load(path)
-    for (g, mu), value in cache.entries.items():
-        _, ok = analysis.integrality_check(g, mu, value)
-        if not ok:
-            raise ValueError(
-                f"{path}: cached value {value} at g={g}, mu=({format_partition(mu)})"
-                " contradicts the integrality theorem"
-            )
-    return cache
-
-
 def _save_cache(cache: HurwitzCache) -> None:
     # Deliver the output first: if the reader has gone, the BrokenPipeError
     # ends the run before the save, as SIGPIPE would.
@@ -252,9 +240,17 @@ def _save_cache(cache: HurwitzCache) -> None:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    for name in ("g", "gmax", "nmax", "weight", "rmax"):  # the integer arguments
+        text = getattr(args, name, None)
+        if text is None:
+            continue
+        if not DECIMAL.fullmatch(text.removeprefix("-")):
+            raise UsageError(f"{name} must be a decimal integer, got {text!r}")
+        setattr(args, name, int(text))
+    path = args.cache or default_cache_path()
     if args.command == "compute":
         g, mu = hurwitz_key(args.g, parse_partition(args.mu))
-        cache = _load_cache(args.cache)
+        cache = cache_load(path)
         print(cmd_compute(g, mu, args.method, cache))
         _save_cache(cache)
         return 0
@@ -266,7 +262,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise UsageError("nmax must be at least 1")
         if args.weight is not None and not 1 <= args.weight <= args.nmax:
             raise UsageError(f"weight must be between 1 and nmax ({args.nmax})")
-        cache = _load_cache(args.cache)
+        cache = cache_load(path)
         rows = table_values(args.gmax, args.nmax, cache, weight_exactly=args.weight)
         print(render_table(rows, args.gmax, args.format))
         _save_cache(cache)
@@ -275,7 +271,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "verify":
         if args.rmax < 0:
             raise UsageError("rmax must be non-negative")
-        cache = _load_cache(args.cache)
+        cache = cache_load(path)
         ok = run_verification(args.rmax, args.with_oracle, cache)
         _save_cache(cache)
         return 0 if ok else CHECK_FAILURE
@@ -285,14 +281,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise UsageError("rmax must be non-negative")
         if args.rmax > 14 and not args.allow_long:
             raise UsageError("rmax beyond 14 requires --allow-long")
-        cache = _load_cache(args.cache)
+        cache = cache_load(path)
         report = analysis.parity_scan(args.rmax, cache)
         print(report.to_json() if args.format == "json" else report.render())
         _save_cache(cache)
         return 0 if report.ok else CHECK_FAILURE
 
     if args.command == "cache":
-        path = args.cache or default_cache_path()
         if args.subop == "path":
             print(path)
             return 0
@@ -307,7 +302,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             if not os.path.exists(path):
                 print(f"0 entries (no cache at {path})")
                 return 0
-            rs = [ramification(g, mu) for g, mu in _load_cache(path).entries]
+            rs = [ramification(g, mu) for g, mu in cache_load(path).entries]
             span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
             print(f"{len(rs)} entries{span}")
             return 0

@@ -264,6 +264,19 @@ class CacheConflictError(ValueError):
     """Two sources disagree about a cached Hurwitz value."""
 
 
+def integrality_check(g: int, mu: Partition, value: Fraction) -> tuple[str, bool]:
+    """The integrality theorem at one key: (which case applies, whether value obeys it).
+
+    Every value is a positive integer, except that profile (1) vanishes for
+    genus >= 1 and profiles (2), (1,1) equal one half for every genus.
+    """
+    if mu == (1,) and g >= 1:
+        return "exception-zero", value.numerator == 0
+    if mu in ((2,), (1, 1)):
+        return "exception-half", value.numerator == 1 and value.denominator == 2
+    return "positive-integer", value.denominator == 1 and value.numerator > 0
+
+
 def _cache_sort_key(item: tuple[tuple[int, Partition], Fraction]):
     (g, mu), _ = item
     r = 2 * g - 2 + len(mu) + sum(mu)
@@ -295,17 +308,20 @@ class HurwitzCache:
     def insert(self, g: int, mu: Partition, value: Fraction) -> None:
         """Store a value at the canonical key `hurwitz_key(g, mu)`.
 
-        A key that `hurwitz_key` refuses raises its ValueError, so the cache
-        never holds a key that `save` would write and `cache_load` refuse.
+        A key that `hurwitz_key` refuses or a value the integrality theorem rules
+        out raises ValueError, so the cache never holds an entry `cache_load` refuses.
         """
         if self._store(hurwitz_key(g, mu), Fraction(value)):
             self.dirty = True
 
     def _store(self, key: tuple[int, Partition], value: Fraction) -> bool:
         """Store a value at a key `hurwitz_key` has made canonical; True when
-        the key is new.  The one conflict rule for values from outside the
-        recursion (`insert`, `merge`, `cache_load`): a key already held with
-        a different value raises CacheConflictError."""
+        the key is new.  The one rule for values from outside the recursion
+        (`insert`, `merge`, `cache_load`): a value the integrality theorem rules
+        out raises ValueError, a key held with another value CacheConflictError."""
+        if not integrality_check(key[0], key[1], value)[1]:
+            mu = ",".join(map(str, key[1]))
+            raise ValueError(f"cached value {value} at g={key[0]}, mu=({mu}) contradicts the integrality theorem")
         old = self.entries.get(key)
         if old is None:
             self.entries[key] = value
@@ -327,9 +343,9 @@ class HurwitzCache:
         """Write the cache to its path, merged with the file already there.
 
         The file is reloaded and merged first, so entries another run saved
-        since this cache was loaded are kept; a value on disk that disagrees
-        with this cache raises CacheConflictError and leaves the file as it
-        is.  Two runs can still race between the reload and the rename.
+        since this cache was loaded are kept; a line `cache_load` refuses, or
+        a value that disagrees with this cache, raises and leaves the file as
+        it is.  Two runs can still race between the reload and the rename.
         """
         path = self.path
         if not path:
@@ -366,16 +382,16 @@ class HurwitzCache:
 def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with that path.
 
-    Each line is checked once and stored by `insert`'s conflict rule: a key
-    that repeats with a different value raises CacheConflictError.  A line
-    must be ASCII; the profile must be a JSON array that passes `hurwitz_key`
-    and is already in descending order, and `num` and `den` strings equal to
-    `str(int(text))` (no `+`, space, underscore or leading zero) with
-    den > 0, so a line that `save` could not have written is refused rather
-    than silently rewritten; so are a fraction not in lowest terms and a
-    record with any other field.  The first offending line in file order is
-    reported as `PATH:LINE: malformed cache line: ` and the fault, with
-    `hurwitz_key`'s message for a fault in the key.
+    Each line is checked once and stored by `insert`'s rule, so a key that
+    repeats with a different value raises CacheConflictError.  A line must be
+    ASCII; the profile must be a JSON array that passes `hurwitz_key` and is
+    already in descending order, and `num` and `den` strings equal to
+    `str(int(text))` (no `+`, space, underscore or leading zero) with den > 0,
+    so a line that `save` could not have written is refused rather than
+    silently rewritten; so are a fraction not in lowest terms, a record with
+    any other field and a value the integrality theorem rules out.  The first
+    offending line in file order is reported as `PATH:LINE: malformed cache
+    line: ` and the fault, with `hurwitz_key`'s message for a fault in the key.
     """
     cache = HurwitzCache(path=path)
     if not os.path.exists(path):
@@ -405,9 +421,11 @@ def cache_load(path: str) -> HurwitzCache:
                     raise ValueError(f"{num}/{den} is not in lowest terms")
                 if len(rec) != 4:
                     raise ValueError(f"unexpected fields: {sorted(rec.keys() - {'g', 'mu', 'num', 'den'})}")
+                cache._store(key, value)
+            except CacheConflictError:
+                raise
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: malformed cache line: {exc}") from exc
-            cache._store(key, value)
     return cache
 
 

@@ -412,6 +412,36 @@ def test_save_over_a_file_that_disagrees_is_a_conflict_and_keeps_the_file(tmp_pa
     assert os.listdir(tmp_path) == ["cache.jsonl"]
 
 
+@pytest.mark.parametrize(
+    "g, mu, value, shown",
+    [(5, (2,), Fraction(1, 3), "(2)"), (0, (3,), Fraction(1, 2), "(3)"), (2, (1,), Fraction(1), "(1)"),
+     (0, (2, 1), Fraction(-4), "(2,1)"), (1, (3,), Fraction(0), "(3)")],
+)
+def test_insert_refuses_a_value_the_theorem_rules_out(g, mu, value, shown):
+    cache = HurwitzCache()
+    with pytest.raises(ValueError) as info:
+        cache.insert(g, mu, value)
+    assert str(info.value) == f"cached value {value} at g={g}, mu={shown} contradicts the integrality theorem"
+    assert type(info.value) is ValueError
+    assert cache.entries == {} and not cache.dirty
+
+
+def test_save_over_a_file_with_a_value_the_theorem_rules_out_raises_and_keeps_the_file(tmp_path):
+    # Another run wrote the line after this cache was loaded.
+    path = tmp_path / "cache.jsonl"
+    bad = b'{"g":5,"mu":[2],"num":"1","den":"3"}\n'
+    path.write_bytes(bad)
+    cache = HurwitzCache(str(path))
+    cache.insert(0, (3,), Fraction(1))
+    with pytest.raises(ValueError) as info:
+        cache.save()
+    assert str(info.value) == (
+        f"{path}:1: malformed cache line: cached value 1/3 at g=5, mu=(2) contradicts the integrality theorem"
+    )
+    assert path.read_bytes() == bad
+    assert os.listdir(tmp_path) == ["cache.jsonl"]
+
+
 def test_save_is_byte_stable_and_order_independent(tmp_path):
     entries = [(0, (1,), Fraction(1)), (1, (3,), Fraction(9)), (0, (2, 2), Fraction(12)), (0, (4,), Fraction(4))]
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
@@ -446,7 +476,9 @@ def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
     cache.insert(0, (2,), Fraction(1, 2))
     cache.insert(3, (1,), Fraction(0))
     cache.insert(6, (4, 3, 3, 1), Fraction(10**29 + 7))
-    cache.insert(1, (2, 2), Fraction(-(10**29) - 1, 3))
+    with pytest.raises(ValueError, match="contradicts the integrality theorem"):
+        cache.insert(1, (2, 2), Fraction(-(10**29) - 1, 3))
+    cache.insert(1, (2, 2), Fraction(3 * 10**29 + 1))
     cache.save()
     expected = [
         json.dumps(
@@ -455,7 +487,7 @@ def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
         )
         for g, mu, v in [
             (0, (2,), Fraction(1, 2)),
-            (1, (2, 2), Fraction(-(10**29) - 1, 3)),
+            (1, (2, 2), Fraction(3 * 10**29 + 1)),
             (3, (1,), Fraction(0)),
             (6, (4, 3, 3, 1), Fraction(10**29 + 7)),
         ]
@@ -476,11 +508,21 @@ def test_sort_order_is_by_branch_count_then_genus(tmp_path):
     assert keys == [(0, (1,)), (0, (2,)), (0, (1, 1)), (1, (1,))]
 
 
+def _admitted(g, mu, value):
+    """The integrality theorem, stated apart from the engine's check."""
+    if mu == (1,) and g >= 1:
+        return value == 0
+    if mu in ((2,), (1, 1)):
+        return value == Fraction(1, 2)
+    return value.denominator == 1 and value > 0
+
+
 @given(
     st.lists(
         st.tuples(
             st.integers(min_value=0, max_value=5),
             st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
+            st.integers(min_value=1),
             st.fractions(),
         ),
         max_size=12,
@@ -489,9 +531,15 @@ def test_sort_order_is_by_branch_count_then_genus(tmp_path):
 def test_roundtrip_random_entries(tmp_path_factory, entries):
     path = str(tmp_path_factory.mktemp("cache") / "c.jsonl")
     cache = HurwitzCache(path)
-    for g, mu, value in entries:
+    for g, mu, n, other in entries:
         key = tuple(sorted(mu, reverse=True))
+        if not _admitted(g, key, other):
+            before = dict(cache.entries)
+            with pytest.raises(ValueError, match="contradicts the integrality theorem"):
+                cache.insert(g, key, other)
+            assert cache.entries == before
         if cache.entries.get((g, key)) is None:
+            value = next(v for v in (Fraction(n), Fraction(1, 2), Fraction(0)) if _admitted(g, key, v))
             cache.insert(g, key, value)
     cache.save()
     assert cache_load(path).entries == cache.entries

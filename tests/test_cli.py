@@ -111,6 +111,17 @@ def test_every_method_gives_the_genus_zero_two_part_value(capsys, method):
         (("table", "--weight", "0"), "weight must be between 1 and nmax (5)"),
         (("table", "--weight", "7", "--nmax", "5"), "weight must be between 1 and nmax (5)"),
         (("table", "--nmax", "0"), "nmax must be at least 1"),
+        (("compute", "1_0", "3"), "g must be a decimal integer, got '1_0'"),
+        (("compute", "\u0663", "3"), "g must be a decimal integer, got '\u0663'"),
+        (("compute", "+1", "3"), "g must be a decimal integer, got '+1'"),
+        (("compute", " 2", "3"), "g must be a decimal integer, got ' 2'"),
+        (("table", "--gmax", "+1"), "gmax must be a decimal integer, got '+1'"),
+        (("table", "--gmax", "\u0663"), "gmax must be a decimal integer, got '\u0663'"),
+        (("table", "--nmax", " 2"), "nmax must be a decimal integer, got ' 2'"),
+        (("table", "--weight", "1_0"), "weight must be a decimal integer, got '1_0'"),
+        (("verify", "--rmax", "1_0"), "rmax must be a decimal integer, got '1_0'"),
+        (("parity", "--rmax", "2.0"), "rmax must be a decimal integer, got '2.0'"),
+        (("table", "--gmax", ""), "gmax must be a decimal integer, got ''"),
     ],
 )
 def test_usage_error_exits_2_with_one_error_line(capsys, isolated_cache, argv, message):
@@ -453,6 +464,18 @@ def test_default_cache_path_respects_env(monkeypatch):
     assert default_cache_path() == "/tmp/explicit.jsonl"
 
 
+@pytest.mark.parametrize("xdg", [None, "", "relative/share"])
+def test_default_cache_path_falls_back_unless_xdg_data_home_is_absolute(capsys, monkeypatch, tmp_path, xdg):
+    monkeypatch.delenv("HURWITZ_CACHE")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    if xdg is None:
+        monkeypatch.delenv("XDG_DATA_HOME", raising=False)
+    else:
+        monkeypatch.setenv("XDG_DATA_HOME", xdg)
+    code, out, _ = run(capsys, "cache", "path")
+    assert code == 0 and out == f"{tmp_path}/.local/share/hurwitz/cache.jsonl\n"
+
+
 def test_compute_persists_cache_across_invocations(capsys, isolated_cache):
     run(capsys, "compute", "2", "2,1", "--method", "cj")
     size_first = os.path.getsize(isolated_cache)
@@ -475,7 +498,7 @@ def test_cache_value_that_breaks_the_theorem_exits_2(capsys, isolated_cache, arg
     _write_cache(isolated_cache, [(g, mu, num, den)])
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
-    assert err.startswith(f"error: {isolated_cache}: ") and "Traceback" not in err
+    assert err.startswith(f"error: {isolated_cache}:1: malformed cache line: cached value ") and "Traceback" not in err
     assert f"g={g}, mu=({','.join(map(str, mu))})" in err
 
 
@@ -569,6 +592,32 @@ def test_conflict_with_the_file_at_save_exits_2_and_keeps_the_file(capsys, isola
     assert err == "error: cache conflict at g=0, mu=(3,): 1 != 2\n"
     with open(isolated_cache, encoding="ascii") as fh:
         assert fh.read() == '{"g": 0, "mu": [3], "num": "2", "den": "1"}\n'
+    assert os.listdir(os.path.dirname(isolated_cache)) == ["cache.jsonl"]
+
+
+def test_value_the_theorem_rules_out_written_during_a_run_exits_2_and_keeps_the_file(
+    capsys, isolated_cache, monkeypatch
+):
+    # Another run writes a line the integrality theorem rules out while this one computes.
+    bad = '{"g":5,"mu":[2],"num":"1","den":"3"}\n'
+    computed = hurwitz.engine.hurwitz_number
+
+    def compute_then_disk_changes(*args):
+        value = computed(*args)
+        with open(isolated_cache, "w", encoding="ascii") as fh:
+            fh.write(bad)
+        return value
+
+    monkeypatch.setattr(hurwitz.engine, "hurwitz_number", compute_then_disk_changes)
+    code, out, err = run(capsys, "compute", "0", "3")
+    assert code == 2
+    assert out.startswith("h_{0,(3)} = 1  # method=cj") and out.count("\n") == 1
+    assert err == (
+        f"error: {isolated_cache}:1: malformed cache line: "
+        "cached value 1/3 at g=5, mu=(2) contradicts the integrality theorem\n"
+    )
+    with open(isolated_cache, encoding="ascii") as fh:
+        assert fh.read() == bad
     assert os.listdir(os.path.dirname(isolated_cache)) == ["cache.jsonl"]
 
 

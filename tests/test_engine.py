@@ -217,7 +217,7 @@ def test_ledger_builds_only_the_binomials_a_split_reads(monkeypatch):
 
 def test_cached_child_that_is_not_a_multiple_of_one_half_is_refused():
     cache = engine.HurwitzCache()
-    cache.insert(0, (2,), Fraction(1, 3))
+    cache.entries[(0, (2,))] = Fraction(1, 3)  # `insert` refuses it by the integrality theorem
     for _ in range(2):  # a refused value is never kept, so the next call refuses it too
         with pytest.raises(ValueError, match=r"1/3 at g=0, mu=\(2,\)"):
             hurwitz_number(0, (3,), cache)
@@ -226,7 +226,7 @@ def test_cached_child_that_is_not_a_multiple_of_one_half_is_refused():
 def test_inexact_division_at_a_key_raises():
     # 8h at (0, (2)) is twice * (2 h(0,(1)))^2 = 1 * 3 * 3, not divisible by 4
     cache = engine.HurwitzCache()
-    cache.insert(0, (1,), Fraction(3, 2))
+    cache.entries[(0, (1,))] = Fraction(3, 2)  # `insert` refuses it by the integrality theorem
     with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2,\)"):
         hurwitz_number(0, (2,), cache)
 

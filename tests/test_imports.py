@@ -1,6 +1,6 @@
 """Source guards over the package's modules: every name a module imports is read
-somewhere in it, no module keeps a memo of its own, and the cache has one
-conflict rule."""
+somewhere in it, no module keeps a memo of its own, the cache has one
+conflict rule, and the integrality theorem guards its one door."""
 
 import ast
 from pathlib import Path
@@ -146,3 +146,48 @@ def test_the_guard_counts_conflict_raises_and_merge_callers():
     )
     assert conflict_raises(source) == 2
     assert merge_callers(source) == ["save"]
+
+
+def callers_of(source: str, name: str) -> list[str]:
+    """Where `name` is called, once per call: `Class.method`, `function`
+    (`outer.inner` when nested), or `<module>` outside every function."""
+    found = []
+
+    def visit(node: ast.AST, where: str, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, where, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                visit(child, prefix + child.name, f"{prefix}{child.name}.")
+            else:
+                if isinstance(child, ast.Call) and _called_name(child) == name:
+                    found.append(where)
+                visit(child, where, prefix)
+
+    visit(ast.parse(source), "<module>", "")
+    return found
+
+
+def test_the_integrality_theorem_is_checked_at_the_cache_door_and_by_its_audit():
+    # `HurwitzCache._store` refuses every value from outside the recursion that
+    # the theorem rules out, so the CLI loads through `cache_load` alone.
+    calls = [
+        (path.name, caller)
+        for path in MODULES
+        for caller in callers_of(path.read_text(encoding="utf-8"), "integrality_check")
+    ]
+    assert calls == [("analysis.py", "integrality_audit"), ("engine.py", "HurwitzCache._store")]
+    cli = next(p for p in MODULES if p.name == "cli.py").read_text(encoding="utf-8")
+    assert set(callers_of(cli, "cache_load")) == {"_dispatch"}
+
+
+def test_the_guard_finds_each_caller():
+    source = (
+        "class C:\n    def _store(self):\n        integrality_check(1)\n"
+        "def audit():\n    def inner():\n        return analysis.integrality_check(2)\n    return inner\n"
+        "x = [integrality_check(3)]\n"
+        "def load(p):\n    return cache_load(p)\n"
+        "def main():\n    return load(p)\n"
+    )
+    assert callers_of(source, "integrality_check") == ["C._store", "audit.inner", "<module>"]
+    assert callers_of(source, "cache_load") == ["load"]
