@@ -5,7 +5,9 @@ Exit status: 0 on success, 1 on verification failure, 2 on usage errors
 (bad syntax, method/input mismatch, refused oracle searches, an unreadable
 or unwritable cache path, a malformed cache line, an input too large to
 hold in memory or to count with machine-sized integers),
-141 when the reader closes stdout before the output is written.
+141 when the reader closes stdout before the output is written.  Every usage
+error, argparse's own included, prints one `error:` line (`refused:` for an
+oracle search) on stderr.
 """
 
 from __future__ import annotations
@@ -156,8 +158,16 @@ def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache) -> bool
 # ---------------------------------------------------------------------------
 # entry point
 
+class _Parser(argparse.ArgumentParser):
+    """Argparse's refusals leave through `main`'s one `error:` line; the
+    subcommand parsers inherit the class."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hurwitz", description=__doc__)
+    parser = _Parser(prog="hurwitz", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_compute = sub.add_parser("compute", help="compute a single value")
@@ -194,14 +204,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     # Exact values may exceed the default 4300 digits; the caller's limit comes back.
     old_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if old_limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        status = _dispatch(args)
+        status = _dispatch(build_parser().parse_args(argv))
         sys.stdout.flush()
         return status
     except BrokenPipeError:
@@ -231,14 +239,6 @@ def main(argv: list[str] | None = None) -> int:
             sys.set_int_max_str_digits(old_limit)
 
 
-def _save_cache(cache: HurwitzCache) -> None:
-    # Deliver the output first: if the reader has gone, the BrokenPipeError
-    # ends the run before the save, as SIGPIPE would.
-    sys.stdout.flush()
-    if cache.dirty:
-        cache.save()
-
-
 def _dispatch(args: argparse.Namespace) -> int:
     for name in ("g", "gmax", "nmax", "weight", "rmax"):  # the integer arguments
         text = getattr(args, name, None)
@@ -248,66 +248,58 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise UsageError(f"{name} must be a decimal integer, got {text!r}")
         setattr(args, name, int(text))
     path = args.cache or default_cache_path()
-    if args.command == "compute":
-        g, mu = hurwitz_key(args.g, parse_partition(args.mu))
-        cache = cache_load(path)
-        print(cmd_compute(g, mu, args.method, cache))
-        _save_cache(cache)
+    if args.command == "cache":
+        if args.subop == "path":
+            print(path)
+        elif args.subop == "clear":
+            if os.path.exists(path):
+                os.remove(path)
+                print(f"removed {path}")
+            else:
+                print(f"no cache at {path}")
+        elif not os.path.exists(path):
+            print(f"0 entries (no cache at {path})")
+        else:
+            rs = [ramification(g, mu) for g, mu in cache_load(path).entries]
+            span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
+            print(f"{len(rs)} entries{span}")
         return 0
 
-    if args.command == "table":
+    # Every check runs before the cache is read.
+    if args.command == "compute":
+        g, mu = hurwitz_key(args.g, parse_partition(args.mu))
+    elif args.command == "table":
         if args.gmax < 0 or args.nmax < 0:
             raise UsageError("bounds must be non-negative")
         if args.nmax == 0:
             raise UsageError("nmax must be at least 1")
         if args.weight is not None and not 1 <= args.weight <= args.nmax:
             raise UsageError(f"weight must be between 1 and nmax ({args.nmax})")
-        cache = cache_load(path)
+    else:  # verify and parity
+        if args.rmax < 0:
+            raise UsageError("rmax must be non-negative")
+        if args.command == "parity" and args.rmax > 14 and not args.allow_long:
+            raise UsageError("rmax beyond 14 requires --allow-long")
+
+    cache = cache_load(path)
+    ok = True
+    if args.command == "compute":
+        print(cmd_compute(g, mu, args.method, cache))
+    elif args.command == "table":
         rows = table_values(args.gmax, args.nmax, cache, weight_exactly=args.weight)
         print(render_table(rows, args.gmax, args.format))
-        _save_cache(cache)
-        return 0
-
-    if args.command == "verify":
-        if args.rmax < 0:
-            raise UsageError("rmax must be non-negative")
-        cache = cache_load(path)
+    elif args.command == "verify":
         ok = run_verification(args.rmax, args.with_oracle, cache)
-        _save_cache(cache)
-        return 0 if ok else CHECK_FAILURE
-
-    if args.command == "parity":
-        if args.rmax < 0:
-            raise UsageError("rmax must be non-negative")
-        if args.rmax > 14 and not args.allow_long:
-            raise UsageError("rmax beyond 14 requires --allow-long")
-        cache = cache_load(path)
+    else:
         report = analysis.parity_scan(args.rmax, cache)
         print(report.to_json() if args.format == "json" else report.render())
-        _save_cache(cache)
-        return 0 if report.ok else CHECK_FAILURE
-
-    if args.command == "cache":
-        if args.subop == "path":
-            print(path)
-            return 0
-        if args.subop == "clear":
-            if os.path.exists(path):
-                os.remove(path)
-                print(f"removed {path}")
-            else:
-                print(f"no cache at {path}")
-            return 0
-        if args.subop == "stats":
-            if not os.path.exists(path):
-                print(f"0 entries (no cache at {path})")
-                return 0
-            rs = [ramification(g, mu) for g, mu in cache_load(path).entries]
-            span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
-            print(f"{len(rs)} entries{span}")
-            return 0
-
-    raise UsageError(f"unknown command {args.command!r}")
+        ok = report.ok
+    # Deliver the output first: if the reader has gone, the BrokenPipeError
+    # ends the run before the save, as SIGPIPE would.
+    sys.stdout.flush()
+    if cache.dirty:
+        cache.save()
+    return 0 if ok else CHECK_FAILURE
 
 
 if __name__ == "__main__":

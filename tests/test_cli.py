@@ -3,8 +3,10 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import hurwitz
 from hurwitz.cli import (
@@ -38,6 +40,25 @@ def test_parse_partition():
     for bad in ("", "0", "a", "2,", "1^x", "-1", "2^-1", "1_0", "+2", "٣", "2^1_0"):
         with pytest.raises(UsageError):
             parse_partition(bad)
+
+
+@given(st.text(alphabet="0123456789,^-+_ \u0663", max_size=6))
+def test_parse_partition_returns_a_partition_or_refuses(text):
+    try:
+        mu = parse_partition(text)
+    except UsageError:
+        return
+    assert type(mu) is tuple and mu and all(type(part) is int and part > 0 for part in mu)
+    assert list(mu) == sorted(mu, reverse=True)
+
+
+@given(st.lists(st.tuples(st.integers(1, 20), st.integers(1, 4), st.booleans()), min_size=1, max_size=5))
+def test_parse_partition_expands_rendered_exponents(pairs):
+    text = ",".join(
+        f" {base}^{exp}" if exp > 1 or caret else f"{base} " for base, exp, caret in pairs
+    )
+    expansion = [base for base, exp, _ in pairs for _ in range(exp)]
+    assert parse_partition(text) == tuple(sorted(expansion, reverse=True))
 
 
 def test_compute_methods(capsys):
@@ -293,9 +314,110 @@ def test_output_bytes_are_stable(capsys, argv, digest):
 
 
 def test_unknown_flag_exits_2(capsys):
-    with pytest.raises(SystemExit) as err:
-        main(["table", "--format", "xml"])
-    assert err.value.code == 2
+    code, out, err = run(capsys, "table", "--format", "xml")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# Argparse's wording differs across Python versions (3.12.8 and 3.13.1 stopped
+# quoting choices), so only the stable start of each message is pinned.
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (("verify", "--rmax", "-1_0"), "error: argument --rmax: expected one argument"),
+        (("compute", "-x", "3"), "error: the following arguments are required: "),
+        (("compute", "0"), "error: the following arguments are required: "),
+        (("table", "--format", "xml"), "error: argument --format: invalid choice:"),
+        (("cache", "bogus"), "error: argument subop: invalid choice:"),
+        ((), "error: the following arguments are required: "),
+    ],
+)
+def test_argparse_refusal_exits_2_with_one_error_line(capsys, isolated_cache, argv, start):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(start) and err.count("\n") == 1
+    assert not os.path.exists(isolated_cache)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: hurwitz ")
+
+
+BAD_NUMBERS = ("-1", "-1_0", "1_0", "+1", " 2", "2.0", "\u0663", "")
+NOISE = ("-x", "-1_0", "--bogus", "--", "x", "+1", " 2", "\u0663", "2,")
+
+
+def _numbers(high: int):
+    good = st.integers(0, high).map(str)
+    return st.one_of(good, good, good, st.sampled_from(BAD_NUMBERS))
+
+
+def _partition_texts():
+    pairs = st.lists(st.tuples(st.integers(1, 5), st.integers(1, 3)), min_size=1, max_size=2)
+    rendered = pairs.filter(lambda ps: sum(b * e for b, e in ps) <= 6).map(
+        lambda ps: ",".join(f"{b}^{e}" if e > 1 else str(b) for b, e in ps)
+    )
+    bad = st.sampled_from(("", "0", "2,", "1^x", "1^0", "-1", "\u0663"))
+    return st.one_of(rendered, rendered, rendered, bad)
+
+
+@st.composite
+def _argvs(draw):
+    """One CLI argument vector: a subcommand, some of its flags, each with a
+    drawn value or none, and a noise token, in any order."""
+
+    def flag(name, values):
+        return [name, draw(values)] if draw(st.integers(0, 4)) else [name]
+
+    def some(*chunks):
+        return [chunk for chunk in chunks if draw(st.booleans())]
+
+    command = draw(st.sampled_from(("compute",) * 3 + ("table", "verify", "parity", "cache", "bogus", "")))
+    chunks = []
+    if command == "compute":
+        positionals = [draw(_numbers(3)), draw(_partition_texts())]
+        chunks = [positionals[: draw(st.sampled_from((2, 2, 2, 1, 0)))]]
+        chunks += some(flag("--method", st.sampled_from(("cj", "charsum", "operator", "closed", "oracle", "bogus"))))
+    elif command == "table":
+        chunks = some(
+            flag("--gmax", _numbers(3)),
+            flag("--nmax", _numbers(5)),
+            flag("--weight", _numbers(6)),
+            flag("--format", st.sampled_from(("md", "csv", "json", "xml"))),
+        )
+    elif command == "verify" and draw(st.booleans()):
+        chunks = [flag("--rmax", _numbers(4)), ["--with-oracle"]]
+    elif command in ("verify", "parity"):
+        # --rmax is always given: the defaults (8 and 14) are beyond the bound.
+        chunks = [flag("--rmax", _numbers(6))]
+        if command == "parity":
+            chunks += some(["--allow-long"], flag("--format", st.sampled_from(("text", "json", "xml"))))
+    elif command == "cache":
+        chunks = [[draw(st.sampled_from(("path", "clear", "stats", "bogus")))]]
+    chunks += [[token] for token in draw(st.lists(st.sampled_from(NOISE), max_size=1))]
+    return [command][: bool(command)] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
+@settings(deadline=None, max_examples=200, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_every_argv_ends_in_one_of_three_statuses(capsys, monkeypatch, argv):
+    """Numbers stay small (g <= 3, parts <= 5, exponents <= 3, --rmax <= 6,
+    --with-oracle only with --rmax <= 4) so that the test runs in seconds: no
+    size bound on the CLI's input exists yet, so this claims no size coverage."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cache.jsonl")
+        monkeypatch.setenv("HURWITZ_CACHE", path)
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert (code == 2) == (err != "")
+        if code == 2:
+            assert err.count("\n") == 1 and err.startswith(("error: ", "refused: "))
+            assert out == "" and not os.path.exists(path)
+        if code == 1:
+            assert argv[0] in ("verify", "parity")
 
 
 def test_verify_failure_exits_1(capsys, monkeypatch):
@@ -645,7 +767,9 @@ def no_int_digit_limit():
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
-@pytest.mark.parametrize("argv, status", [(("cache", "path"), 0), (("compute", "0", "x"), 2)])
+@pytest.mark.parametrize(
+    "argv, status", [(("cache", "path"), 0), (("compute", "0", "x"), 2), (("table", "--format", "xml"), 2)]
+)
 def test_main_leaves_the_int_digit_limit_as_it_found_it(capsys, argv, status):
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(5000)

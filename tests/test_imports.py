@@ -181,6 +181,14 @@ def test_the_integrality_theorem_is_checked_at_the_cache_door_and_by_its_audit()
     assert set(callers_of(cli, "cache_load")) == {"_dispatch"}
 
 
+def test_the_cli_loads_and_saves_the_cache_in_one_sequence():
+    # `_dispatch` loads once for the four computing commands and once for
+    # `cache stats`, and saves once, after the output is flushed.
+    cli = next(p for p in MODULES if p.name == "cli.py").read_text(encoding="utf-8")
+    assert callers_of(cli, "cache_load") == ["_dispatch", "_dispatch"]
+    assert callers_of(cli, "save") == ["_dispatch"]
+
+
 def test_the_guard_finds_each_caller():
     source = (
         "class C:\n    def _store(self):\n        integrality_check(1)\n"
