@@ -10,7 +10,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from . import engine, oracle, reference_data
 from .engine import HurwitzCache, _ledger, hurwitz_number, integrality_check, one_part_genus0
-from .partitions import Partition, hurwitz_key, partitions_of, ramification
+from .partitions import Partition, branch_count, format_partition, hurwitz_key, partitions_of
 
 
 class AuditRecord(NamedTuple):
@@ -57,7 +57,7 @@ class AuditReport:
             mark = "ok  " if rec.passed else "FAIL"
             where = ""
             if rec.mu is not None:
-                where = f" g={rec.g} mu=({','.join(map(str, rec.mu))})"
+                where = f" g={rec.g} mu=({format_partition(rec.mu)})"
             tail = f"  {rec.detail}" if rec.detail else ""
             lines.append(f"  {mark} {rec.label}{where} value={rec.value}{tail}")
         return "\n".join(lines)
@@ -66,8 +66,9 @@ class AuditReport:
 def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[int, Partition]]:
     """All (g, mu) with mu nonempty, |mu| >= min_size and branch count <= r_max.
 
-    Deterministic order: by branch count, then genus, then weight, then
-    reverse-lexicographic profile.
+    Deterministic order: `partitions.key_order` (branch count, then genus,
+    then weight, then reverse-lexicographic profile), built directly in that
+    order rather than sorted.
     """
     sizes = range(max(min_size, 1), r_max + 2)
     # (weight, length) -> profiles in reverse-lexicographic order; at a fixed
@@ -114,8 +115,8 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
     exceptional half values originate.)
     """
     g, lam = hurwitz_key(g, k)
-    r = ramification(g, lam)
-    report = AuditReport(name="coefficients", scope=f"g={g} mu=({','.join(map(str, lam))}) r={r}")
+    r = branch_count(g, lam)
+    report = AuditReport(name="coefficients", scope=f"g={g} mu=({format_partition(lam)}) r={r}")
     if g == 0 and len(lam) == 1:
         report.records.append(
             AuditRecord(
@@ -130,7 +131,7 @@ def coefficient_audit(g: int, k: Iterable[int]) -> AuditReport:
         return report
     for label, twice, children, binomial in _ledger(g, lam):
         ok = twice % 2 == 0 and twice >= 0
-        detail = " * ".join(f"h[{cg},({','.join(map(str, cmu))})]" for cg, cmu in children)
+        detail = " * ".join(f"h[{cg},({format_partition(cmu)})]" for cg, cmu in children)
         if label == "split-symmetric":
             even = binomial is not None and binomial % 2 == 0
             ok = ok and even
@@ -167,7 +168,7 @@ def parity_scan(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
     converse: dict[int, set[tuple[int, Partition]]] = {}
     for g, mu in keys_with_ramification_at_most(r_max, min_size=3):
         h = hurwitz_number(g, mu, store)
-        r = 2 * g - 2 + len(mu) + sum(mu)
+        r = branch_count(g, mu)
         is_odd = h.denominator == 1 and h.numerator % 2 == 1
         candidate = r % 2 == 0 and len(mu) <= 2 and all(p % 2 == 1 for p in mu)
         if is_odd:
@@ -293,7 +294,7 @@ def oracle_audit(d_max: int, r_max: int, cache: HurwitzCache) -> AuditReport:
     checked = 0
     for d in range(1, d_max + 1):
         for mu in partitions_of(d):
-            genus_at = {ramification(g, mu): g for g in range(r_max // 2 + 1)}
+            genus_at = {branch_count(g, mu): g for g in range(r_max // 2 + 1)}
             for r in range(r_max + 1):
                 expect = series[(d, r, mu)]
                 disc = oracle.count_covers_bruteforce(d, r, mu, connected=False, groups=groups)

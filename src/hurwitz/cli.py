@@ -21,7 +21,7 @@ import time
 
 from . import analysis, engine, oracle
 from .engine import HurwitzCache, cache_load
-from .partitions import Partition, hurwitz_key, partitions_of, ramification, sort_to_partition
+from .partitions import Partition, branch_count, format_partition, hurwitz_key, partitions_of, sort_to_partition
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
@@ -55,10 +55,6 @@ def parse_partition(text: str) -> Partition:
     return sort_to_partition(parts)
 
 
-def format_partition(mu: Partition) -> str:
-    return ",".join(map(str, mu))
-
-
 def default_cache_path() -> str:
     env = os.environ.get("HURWITZ_CACHE")
     if env:
@@ -88,10 +84,8 @@ def cmd_compute(g: int, mu: Partition, method: str, cache: HurwitzCache) -> str:
             raise UsageError(
                 "closed form needs a one-part profile or a genus-zero two-part profile"
             )
-    elif method == "oracle":
-        value = oracle.count_covers_bruteforce(sum(mu), ramification(g, mu), mu, connected=True)
-    else:
-        raise UsageError(f"unknown method {method!r}")
+    else:  # "oracle": argparse's choices admit no other method
+        value = oracle.count_covers_bruteforce(sum(mu), branch_count(g, mu), mu, connected=True)
     elapsed = time.perf_counter() - start
     return f"h_{{{g},({format_partition(mu)})}} = {value!s}  # method={method} elapsed={elapsed:.3f}s"
 
@@ -130,14 +124,13 @@ def render_table(rows: list[tuple[Partition, list[str]]], g_max: int, fmt: str) 
             for g, value in enumerate(values):
                 lines.append(f'{g},"{mu_field}",{value}')
         return "\n".join(lines)
-    if fmt == "json":
-        records = [
-            {"g": g, "mu": list(mu), "value": value}
-            for mu, values in rows
-            for g, value in enumerate(values)
-        ]
-        return json.dumps(records, sort_keys=True, separators=(",", ":"))
-    raise UsageError(f"unknown format {fmt!r}")
+    # "json": argparse's choices admit no other format
+    records = [
+        {"g": g, "mu": list(mu), "value": value}
+        for mu, values in rows
+        for g, value in enumerate(values)
+    ]
+    return json.dumps(records, sort_keys=True, separators=(",", ":"))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +253,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         elif not os.path.exists(path):
             print(f"0 entries (no cache at {path})")
         else:
-            rs = [ramification(g, mu) for g, mu in cache_load(path).entries]
+            rs = [branch_count(g, mu) for g, mu in cache_load(path).entries]
             span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
             print(f"{len(rs)} entries{span}")
         return 0

@@ -22,13 +22,15 @@ from typing import Iterable
 from .partitions import (
     Partition,
     as_partition,
+    branch_count,
     centralizer_order,
     content_sum,
     cover_args,
     dim_irrep,
+    format_partition,
     hurwitz_key,
+    key_order,
     partitions_of,
-    ramification,
 )
 from .symfunc import CharMemo, PowerSumPoly, _character, cut_and_join
 
@@ -252,7 +254,7 @@ def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
 def connected_from_log(g: int, mu: Iterable[int], method: str = "operator") -> Fraction:
     """Connected Hurwitz number read off the logarithm of the covering series."""
     g, mu = hurwitz_key(g, mu)
-    r = ramification(g, mu)
+    r = branch_count(g, mu)
     table = log_table(sum(mu), r, method)
     return table[(sum(mu), r, mu)]
 
@@ -275,12 +277,6 @@ def integrality_check(g: int, mu: Partition, value: Fraction) -> tuple[str, bool
     if mu in ((2,), (1, 1)):
         return "exception-half", value.numerator == 1 and value.denominator == 2
     return "positive-integer", value.denominator == 1 and value.numerator > 0
-
-
-def _cache_sort_key(item: tuple[tuple[int, Partition], Fraction]):
-    (g, mu), _ = item
-    r = 2 * g - 2 + len(mu) + sum(mu)
-    return (r, g, sum(mu), [-p for p in mu])
 
 
 class HurwitzCache:
@@ -320,7 +316,7 @@ class HurwitzCache:
         (`insert`, `merge`, `cache_load`): a value the integrality theorem rules
         out raises ValueError, a key held with another value CacheConflictError."""
         if not integrality_check(key[0], key[1], value)[1]:
-            mu = ",".join(map(str, key[1]))
+            mu = format_partition(key[1])
             raise ValueError(f"cached value {value} at g={key[0]}, mu=({mu}) contradicts the integrality theorem")
         old = self.entries.get(key)
         if old is None:
@@ -360,7 +356,7 @@ class HurwitzCache:
         lines = [
             f'{{"g":{g},"mu":[{",".join(map(str, mu))}],'
             f'"num":"{value.numerator}","den":"{value.denominator}"}}'
-            for (g, mu), value in sorted(self.entries.items(), key=_cache_sort_key)
+            for (g, mu), value in sorted(self.entries.items(), key=lambda item: key_order(item[0]))
         ]
         # Write a sibling file and rename it over the target, so a crash or a
         # failed write leaves the old cache whole.  The name is unique per
@@ -457,7 +453,7 @@ def _ledger(g: int, lam: Partition, grown: dict[tuple[Partition, int], Partition
     sorted once per table.  `hurwitz_number` passes its cache's table;
     without one, a fresh table is used.
     """
-    r = 2 * g - 2 + len(lam) + sum(lam)
+    r = branch_count(g, lam)
     m = Counter(lam)
     values = sorted(m, reverse=True)
     terms: list[LedgerTerm] = []
@@ -494,10 +490,10 @@ def _ledger(g: int, lam: Partition, grown: dict[tuple[Partition, int], Partition
     # for g1 > g/2, and by comparing (alpha, l) with (beta, n) at g1 = g/2;
     # so at g = 0, where g1 = g/2 is the only side, alpha stops at a // 2.
     # A split reads the binomial at index 2 g1 + r1_base + alpha, which is at
-    # most g + len(lam) + |lam| - 3; a key with no part of 2 or more has none.
+    # most r - g - 1; a key with no part of 2 or more has none.
     binomials = []
     if lam[0] > 1:
-        binomials = [comb(r - 1, k) for k in range(g + len(lam) + sum(lam) - 2)]
+        binomials = [comb(r - 1, k) for k in range(r - g)]
     if grown is None:
         grown = {}
     for a in values:
@@ -669,8 +665,7 @@ def two_part_genus0(mu1: int, mu2: int) -> Fraction:
     (1/sigma) ((mu1+mu2)!/(mu1+mu2)) (mu1^mu1/mu1!) (mu2^mu2/mu2!) with
     sigma = 2 exactly when the parts coincide.
     """
-    if hurwitz_key(0, (mu1, mu2))[1] != (mu1, mu2):
-        raise ValueError("need mu1 >= mu2 >= 1")
+    as_partition((mu1, mu2))
     sigma = 2 if mu1 == mu2 else 1
     n = mu1 + mu2
     return (

@@ -14,17 +14,10 @@ from typing import Iterable, Sequence
 Partition = tuple[int, ...]
 
 
-def is_partition(parts: Sequence[int]) -> bool:
-    """True iff parts is weakly decreasing with all entries >= 1."""
-    return all(type(p) is int and p >= 1 for p in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
-
-
 def as_partition(parts: Iterable[int]) -> Partition:
-    """Validate and return a canonical partition tuple."""
+    """Validate and return a canonical partition: a tuple `sort_to_partition` leaves as it is."""
     t = tuple(parts)
-    if not is_partition(t):
+    if sort_to_partition(t) != t:
         raise ValueError(f"not a partition: {t!r}")
     return t
 
@@ -44,7 +37,7 @@ def cover_args(d: int, r: int, mu: Iterable[int]) -> Partition:
 
 
 def sort_to_partition(k: Iterable[int]) -> Partition:
-    """Canonical partition underlying a multi-index (descending sort)."""
+    """Canonical partition underlying a multi-index (descending sort) of exact positive `int`s."""
     t = tuple(k)
     if not all(type(p) is int and p >= 1 for p in t):
         raise ValueError(f"not a partition: {t!r}")
@@ -66,6 +59,22 @@ def hurwitz_key(g: int, mu: Iterable[int]) -> tuple[int, Partition]:
     if not mu:
         raise ValueError("empty ramification profile")
     return g, mu
+
+
+def branch_count(g: int, mu: Partition) -> int:
+    """Riemann-Hurwitz count 2g - 2 + len(mu) + |mu| of simple branch points at a canonical key."""
+    return 2 * g - 2 + len(mu) + sum(mu)
+
+
+def key_order(key: tuple[int, Partition]) -> tuple:
+    """The canonical key order: branch count, genus, weight, then reverse-lexicographic profile."""
+    g, mu = key
+    return (branch_count(g, mu), g, sum(mu), [-p for p in mu])
+
+
+def format_partition(mu: Partition) -> str:
+    """The printed profile: parts joined by commas, as in `2,1`."""
+    return ",".join(map(str, mu))
 
 
 def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
@@ -158,6 +167,5 @@ def content_sum(lam: Partition) -> int:
 
 
 def ramification(g: int, k: Iterable[int]) -> int:
-    """Number of simple branch points forced by the Hurwitz key (g, k): 2g - 2 + len(k) + sum(k)."""
-    g, k = hurwitz_key(g, k)
-    return 2 * g - 2 + len(k) + sum(k)
+    """Number of simple branch points forced by the Hurwitz key (g, k), once `hurwitz_key` accepts it."""
+    return branch_count(*hurwitz_key(g, k))

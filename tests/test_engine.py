@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import hurwitz.engine as engine
 import hurwitz.symfunc as symfunc
 from hurwitz import (
+    PowerSumPoly,
     connected_from_log,
     count_covers_bruteforce,
     covering_series,
@@ -23,6 +24,7 @@ from hurwitz import (
     stirling2,
     two_part_genus0,
 )
+from hurwitz.reference_data import reference_rows
 
 
 def test_disconnected_charsum_examples():
@@ -429,12 +431,25 @@ def test_normalized_form_of_recursion(shared_cache):
         (lambda: stirling2(0, -1), "arguments must be non-negative"),
         (lambda: engine.GenSeries(-1, 0), "bounds must be non-negative"),
         (lambda: engine.GenSeries(0, -1), "bounds must be non-negative"),
+        (lambda: two_part_genus0(1, 2), "not a partition: (1, 2)"),
+        (lambda: partitions_of(-1), "n must be non-negative"),
+        (lambda: reference_rows(7), "reference tables cover weight at most 6"),
+        (lambda: PowerSumPoly.p(0), "power sum index must be positive"),
+        (lambda: PowerSumPoly.p(1) ** -1, "negative power"),
     ],
 )
 def test_closed_forms_and_series_refuse_out_of_range_arguments(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_series_and_polynomials_print_and_compare_only_with_their_own_kind():
+    assert repr(PowerSumPoly.zero()) == "PowerSumPoly(0)"
+    assert repr(PowerSumPoly.p(2) * Fraction(3, 2) + PowerSumPoly.one()) == "PowerSumPoly(1*p[] + 3/2*p[2])"
+    # __eq__ returns NotImplemented for another type, so == falls back to identity
+    assert (engine.GenSeries(1, 1) == 0) is False
+    assert (PowerSumPoly.zero() == 0) is False
 
 
 def test_one_part_genus0():

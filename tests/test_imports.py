@@ -1,8 +1,10 @@
 """Source guards over the package's modules: every name a module imports is read
 somewhere in it, no module keeps a memo of its own, the cache has one
-conflict rule, and the integrality theorem guards its one door."""
+conflict rule, the integrality theorem guards its one door, and each fact
+about a Hurwitz key is written once, in `partitions`."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -148,9 +150,9 @@ def test_the_guard_counts_conflict_raises_and_merge_callers():
     assert merge_callers(source) == ["save"]
 
 
-def callers_of(source: str, name: str) -> list[str]:
-    """Where `name` is called, once per call: `Class.method`, `function`
-    (`outer.inner` when nested), or `<module>` outside every function."""
+def places(source: str, match) -> list[str]:
+    """Where a node that `match` accepts occurs, once per node: `Class.method`,
+    `function` (`outer.inner` when nested), or `<module>` outside every function."""
     found = []
 
     def visit(node: ast.AST, where: str, prefix: str) -> None:
@@ -160,12 +162,17 @@ def callers_of(source: str, name: str) -> list[str]:
             elif isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
                 visit(child, prefix + child.name, f"{prefix}{child.name}.")
             else:
-                if isinstance(child, ast.Call) and _called_name(child) == name:
+                if match(child):
                     found.append(where)
                 visit(child, where, prefix)
 
     visit(ast.parse(source), "<module>", "")
     return found
+
+
+def callers_of(source: str, name: str) -> list[str]:
+    """Where `name` is called, once per call, named as `places` names them."""
+    return places(source, lambda node: isinstance(node, ast.Call) and _called_name(node) == name)
 
 
 def test_the_integrality_theorem_is_checked_at_the_cache_door_and_by_its_audit():
@@ -199,3 +206,48 @@ def test_the_guard_finds_each_caller():
     )
     assert callers_of(source, "integrality_check") == ["C._store", "audit.inner", "<module>"]
     assert callers_of(source, "cache_load") == ["load"]
+
+
+# The expressions that spell out a fact about a Hurwitz key: the branch count,
+# the printed profile and the part rule.  Each is written once, in `partitions`;
+# `HurwitzCache.save` joins a profile for its own JSON line format.
+KEY_FACTS = {
+    "branch count": r"2 \* \w+ - 2 \+ len\(.+\) \+ sum\(.+\)",
+    "printed profile": r"','\.join\(map\(str, .+\)\)",
+    "part rule": r"type\((\w+)\) is int and \1 >= 1",
+}
+
+
+def spelled_out(source: str, fact: str) -> list[str]:
+    """Where an expression spells out `fact`, named as `places` names them."""
+    pattern = re.compile(KEY_FACTS[fact])
+    return places(source, lambda node: isinstance(node, ast.expr) and pattern.fullmatch(ast.unparse(node)))
+
+
+@pytest.mark.parametrize(
+    "fact, homes",
+    [
+        ("branch count", [("partitions.py", "branch_count")]),
+        ("printed profile", [("engine.py", "HurwitzCache.save"), ("partitions.py", "format_partition")]),
+        ("part rule", [("partitions.py", "sort_to_partition")]),
+    ],
+)
+def test_each_fact_about_a_key_is_written_once(fact, homes):
+    found = [
+        (path.name, where) for path in MODULES for where in spelled_out(path.read_text(encoding="utf-8"), fact)
+    ]
+    assert found == homes
+
+
+def test_the_guard_finds_each_spelling_of_a_key_fact():
+    source = (
+        "def r(g, mu):\n    return 2 * g - 2 + len(mu) + sum(mu)\n"
+        "def w(g, lam):\n    return 2 * g - 2 + len(lam)\n"
+        "class C:\n    def show(self, mu):\n        return f'({\",\".join(map(str, mu))})'\n"
+        "csv = ' '.join(map(str, mu))\n"
+        "ok = all(type(q) is int and q >= 1 for q in t)\n"
+        "loose = all(type(q) is int and p >= 1 for q in t)\n"
+    )
+    assert spelled_out(source, "branch count") == ["r"]
+    assert spelled_out(source, "printed profile") == ["C.show"]
+    assert spelled_out(source, "part rule") == ["<module>"]
