@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import hurwitz
 from hurwitz.cli import (
     UsageError,
+    build_parser,
     default_cache_path,
     format_partition,
     main,
@@ -119,6 +121,29 @@ def test_every_method_gives_the_genus_zero_two_part_value(capsys, method):
     code, out, err = run(capsys, "compute", "0", "3,2", "--method", method)
     assert code == 0 and err == ""
     assert out.startswith(f"h_{{0,(3,2)}} = 216  # method={method} ")
+
+
+def _choices(command, option):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]._option_string_actions[option].choices
+
+
+def test_each_method_and_format_choice_takes_its_own_branch(capsys, monkeypatch):
+    # the last branch of each chain stands for the last choice; a choice the
+    # chain does not name would fall through to it and run the oracle or
+    # print another format's output
+    oracle_runs = []
+    bruteforce = hurwitz.cli.oracle.count_covers_bruteforce
+    monkeypatch.setattr(
+        hurwitz.cli.oracle, "count_covers_bruteforce", lambda *a, **k: oracle_runs.append(a) or bruteforce(*a, **k)
+    )
+    for method in _choices("compute", "--method"):
+        del oracle_runs[:]
+        assert run(capsys, "compute", "0", "3,2", "--method", method)[0] == 0
+        assert len(oracle_runs) == (method == "oracle"), method
+    for command, argv in (("table", ("--gmax", "1", "--nmax", "2")), ("parity", ("--rmax", "2"))):
+        outputs = {run(capsys, command, *argv, "--format", fmt)[1] for fmt in _choices(command, "--format")}
+        assert len(outputs) == len(_choices(command, "--format")), command
 
 
 @pytest.mark.parametrize(
