@@ -89,12 +89,11 @@ def keys_with_ramification_at_most(r_max: int, min_size: int = 1) -> list[tuple[
 # ---------------------------------------------------------------------------
 # integrality
 
-def integrality_audit(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
+def integrality_audit(r_max: int, cache: HurwitzCache) -> AuditReport:
     """Check `integrality_check` on every value in range."""
-    store = cache if cache is not None else HurwitzCache()
     report = AuditReport(name="integrality", scope=f"r<={r_max}")
     for g, mu in keys_with_ramification_at_most(r_max):
-        h = hurwitz_number(g, mu, store)
+        h = hurwitz_number(g, mu, cache)
         label, ok = integrality_check(g, mu, h)
         report.records.append(AuditRecord(label, g, mu, str(h), ok))
     report.summary = f"{len(report.records)} keys, {report.failures} violations"
@@ -154,20 +153,19 @@ def coefficient_sweep(r_max: int) -> AuditReport:
 # ---------------------------------------------------------------------------
 # parity
 
-def parity_scan(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
+def parity_scan(r_max: int, cache: HurwitzCache) -> AuditReport:
     """Scan all keys with weight >= 3 in range for the parity implication.
 
     Every odd value must occur at an even branch count with all parts odd and
     at most two parts.  Keys meeting those conditions whose value is even are
     collected as converse failures and compared per branch count against the
-    published list (available up to 14).
+    published list, up to the largest branch count it covers.
     """
-    store = cache if cache is not None else HurwitzCache()
     report = AuditReport(name="parity", scope=f"r<={r_max}, |mu|>=3")
     odd_keys: list[tuple[int, Partition]] = []
     converse: dict[int, set[tuple[int, Partition]]] = {}
     for g, mu in keys_with_ramification_at_most(r_max, min_size=3):
-        h = hurwitz_number(g, mu, store)
+        h = hurwitz_number(g, mu, cache)
         r = branch_count(g, mu)
         is_odd = h.denominator == 1 and h.numerator % 2 == 1
         candidate = r % 2 == 0 and len(mu) <= 2 and all(p % 2 == 1 for p in mu)
@@ -183,7 +181,7 @@ def parity_scan(r_max: int, cache: HurwitzCache | None = None) -> AuditReport:
             report.records.append(
                 AuditRecord("converse-even", g, mu, "even", True, f"r={r}")
             )
-    for r in range(0, min(r_max, 14) + 1, 2):
+    for r in range(0, min(r_max, max(reference_data.PUBLISHED_CONVERSE_FAILURES)) + 1, 2):
         expected = reference_data.PUBLISHED_CONVERSE_FAILURES.get(r, frozenset())
         got = frozenset(converse.get(r, set()))
         report.records.append(
@@ -215,49 +213,47 @@ def converse_failures(report: AuditReport) -> set[tuple[int, Partition]]:
 # ---------------------------------------------------------------------------
 # known identities and reference tables
 
-def identity_suite(g_max: int, n_max: int, cache: HurwitzCache | None = None) -> AuditReport:
+def identity_suite(g_max: int, n_max: int, cache: HurwitzCache) -> AuditReport:
     """Verify the four closed identities on a grid and cross-check reference tables.
 
     The single known typo in the bundled tables is reported as an erratum
     record (passing when the computed value matches the correction).
     """
-    store = cache if cache is not None else HurwitzCache()
     report = AuditReport(name="identities", scope=f"g<={g_max}, n<={n_max}")
 
     for n in range(1, n_max + 1):
-        h = hurwitz_number(0, (n,), store)
+        h = hurwitz_number(0, (n,), cache)
         expect = one_part_genus0(n)
         report.records.append(
             AuditRecord("one-part-genus0", 0, (n,), str(h), h == expect, f"expected {expect}")
         )
     for g in range(1, g_max + 1):
-        h = hurwitz_number(g, (1,), store)
+        h = hurwitz_number(g, (1,), cache)
         report.records.append(AuditRecord("one-point-vanishing", g, (1,), str(h), h == 0))
     for g in range(0, g_max + 1):
-        h2 = hurwitz_number(g, (2,), store)
-        h11 = hurwitz_number(g, (1, 1), store)
+        h2 = hurwitz_number(g, (2,), cache)
+        h11 = hurwitz_number(g, (1, 1), cache)
         ok = h2 == h11 == Fraction(1, 2)
         report.records.append(AuditRecord("half-values", g, (2,), f"{h2},{h11}", ok))
     for n in range(2, n_max + 1):
         for g in range(0, g_max + 1):
-            left = hurwitz_number(g, (2,) + (1,) * (n - 2), store)
-            right = hurwitz_number(g, (1,) * n, store)
+            left = hurwitz_number(g, (2,) + (1,) * (n - 2), cache)
+            right = hurwitz_number(g, (1,) * n, cache)
             report.records.append(
                 AuditRecord("merge-identity", g, (1,) * n, f"{left},{right}", left == right)
             )
 
     for n in range(1, min(n_max, 6) + 1):
-        for mu, printed_row in sorted(
-            reference_data.reference_rows(n).items(), key=lambda kv: tuple(-p for p in kv[0])
-        ):
+        rows = reference_data.reference_rows(n)
+        for mu in partitions_of(n):
             for g in range(0, min(g_max, 6) + 1):
-                h = hurwitz_number(g, mu, store)
+                h = hurwitz_number(g, mu, cache)
                 fix = reference_data.ERRATA.get((mu, g))
                 if fix:
                     printed, expect = fix
                     label, detail = "table-erratum", f"printed {printed}, corrected {expect}"
                 else:
-                    expect = printed_row[g]
+                    expect = rows[mu][g]
                     label, detail = "table-cell", f"printed {expect}"
                 report.records.append(AuditRecord(label, g, mu, str(h), h == expect, detail))
     report.summary = f"{len(report.records)} checks, {report.failures} failures"

@@ -37,12 +37,24 @@ from .symfunc import CharMemo, PowerSumPoly, _character, cut_and_join
 SeriesKey = tuple[int, int, Partition]
 
 
+def _series_key(d: int, r: int, mu: Iterable[int]) -> SeriesKey:
+    """The key (d, r, mu) with mu canonical; refuses a mu not of size d or a negative r."""
+    mu = as_partition(mu)
+    if sum(mu) != d:
+        raise ValueError(f"key partition {mu} does not have size {d}")
+    if r < 0:
+        raise ValueError("r must be non-negative")
+    return d, r, mu
+
+
 class GenSeries:
     """Truncated generating series with entries indexed by (d, r, mu).
 
     The entry at (d, r, mu) is the coefficient of Q^d (beta^r / r!) p_mu, so
     the beta grading is a divided-power grading: products pick up binomial
-    weights in r.  Keys outside the truncation bounds are dropped.
+    weights in r.  Keys outside the truncation bounds are dropped; a key whose
+    mu does not have size d, or whose r is negative, is refused on reads and
+    writes alike.
     """
 
     __slots__ = ("d_max", "r_max", "coeffs")
@@ -55,13 +67,10 @@ class GenSeries:
         self.coeffs: dict[SeriesKey, Fraction] = {}
 
     def set(self, d: int, r: int, mu: Iterable[int], value) -> None:
-        mu = as_partition(mu)
-        if sum(mu) != d:
-            raise ValueError(f"key partition {mu} does not have size {d}")
+        key = _series_key(d, r, mu)
         if d > self.d_max or r > self.r_max:
             return
         value = Fraction(value)
-        key = (d, r, mu)
         if value:
             self.coeffs[key] = value
         else:
@@ -69,23 +78,7 @@ class GenSeries:
 
     def __getitem__(self, key: SeriesKey) -> Fraction:
         d, r, mu = key
-        return self.coeffs.get((d, r, as_partition(mu)), Fraction(0))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GenSeries):
-            return NotImplemented
-        return (
-            self.d_max == other.d_max
-            and self.r_max == other.r_max
-            and self.coeffs == other.coeffs
-        )
-
-    def __mul__(self, other: "GenSeries") -> "GenSeries":
-        if (self.d_max, self.r_max) != (other.d_max, other.r_max):
-            raise ValueError("series bounds must agree")
-        out = GenSeries(self.d_max, self.r_max)
-        out.coeffs = _mul_coeffs(self.coeffs, other.coeffs, self.d_max, self.r_max)
-        return out
+        return self.coeffs.get(_series_key(d, r, mu), Fraction(0))
 
     def log(self) -> "GenSeries":
         """Series logarithm, requiring constant term exactly 1.
@@ -112,27 +105,6 @@ class GenSeries:
             if acc:
                 scaled[n] = acc
                 res.coeffs.update((key, c / n) for key, c in acc.items())
-        return res
-
-    def exp(self) -> "GenSeries":
-        """Series exponential, requiring constant term exactly 0.
-
-        Uses exp(X) = sum_m X^m / m!; every term of X has d + r >= 1, so
-        X^m vanishes once m > d_max + r_max.  This plain power sum shares no
-        step with `log`, so `log().exp()` checks `log` independently.
-        """
-        if self[(0, 0, ())] != 0:
-            raise ValueError("exp requires constant term 0")
-        out: dict[SeriesKey, Fraction] = {(0, 0, ()): Fraction(1)}
-        power, m = self.coeffs, 1
-        while power:
-            w = Fraction(1, factorial(m))
-            for key, c in power.items():
-                out[key] = out.get(key, 0) + w * c
-            power = _mul_coeffs(power, self.coeffs, self.d_max, self.r_max)
-            m += 1
-        res = GenSeries(self.d_max, self.r_max)
-        res.coeffs = {key: c for key, c in out.items() if c}
         return res
 
 

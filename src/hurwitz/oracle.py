@@ -35,9 +35,12 @@ GroupTable = tuple[list[list[int]], list[Partition]]
 # Most products the last levels of the search hold in one list.
 _BLOCK = 4096
 
+# Largest search size, as counted by `count_covers_bruteforce`, that it runs.
+WORK_BOUND = 10**8
+
 
 class WorkBoundExceeded(RuntimeError):
-    """The requested search is larger than the configured work bound."""
+    """The requested search is larger than `WORK_BOUND`."""
 
 
 def cycle_type(perm: Perm) -> Partition:
@@ -63,7 +66,6 @@ def count_covers_bruteforce(
     r: int,
     mu,
     connected: bool = False,
-    work_bound: int = 10**8,
     groups: dict[int, GroupTable] | None = None,
 ) -> Fraction:
     """Weighted count of factorizations t_r ... t_1 s = id by direct search.
@@ -82,16 +84,16 @@ def count_covers_bruteforce(
     nothing and adds no entry; without a dict, a fresh indexing is made.
 
     Refuses (rather than truncates) when class size times C(d,2)^r, plus the
-    group-indexing cost d! (C(d,2) + 1), exceeds the work bound.  That is an
+    group-indexing cost d! (C(d,2) + 1), exceeds `WORK_BOUND`.  That is an
     upper bound on the search, kept as the refusal rule so that the same
     inputs are refused as by a search from every s in the class.  It counts
     the indexing on every call, whether or not `groups` already holds S_d.
     """
     mu = cover_args(d, r, mu)
     work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
-    if work > work_bound:
+    if work > WORK_BOUND:
         raise WorkBoundExceeded(
-            f"search size {work} exceeds work bound {work_bound} for d={d}, r={r}, mu={mu}"
+            f"search size {work} exceeds work bound {WORK_BOUND} for d={d}, r={r}, mu={mu}"
         )
 
     transpositions = [(a, b) for a in range(d) for b in range(a + 1, d)]

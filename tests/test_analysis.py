@@ -173,8 +173,8 @@ def test_reports_serialize_deterministically(shared_cache):
     assert a == b
 
 
-def test_failure_is_counted():
-    rep = integrality_audit(2)
+def test_failure_is_counted(shared_cache):
+    rep = integrality_audit(2, shared_cache)
     assert rep.failures == 0
     # forge a failing record and watch the summary flip
     from hurwitz.analysis import AuditRecord

@@ -379,7 +379,7 @@ def test_log_table_grows_to_cover_every_request(monkeypatch):
     engine.log_table(4, 6, "charsum")
     table = engine.log_table(6, 4, "charsum")
     assert (table.d_max, table.r_max) == (6, 6)
-    assert table == engine.covering_series_charsum(6, 6).log()
+    assert table.coeffs == engine.covering_series_charsum(6, 6).log().coeffs
     assert engine._log_tables["charsum"] is table
 
 
@@ -447,7 +447,8 @@ def test_closed_forms_and_series_refuse_out_of_range_arguments(call, message):
 def test_series_and_polynomials_print_and_compare_only_with_their_own_kind():
     assert repr(PowerSumPoly.zero()) == "PowerSumPoly(0)"
     assert repr(PowerSumPoly.p(2) * Fraction(3, 2) + PowerSumPoly.one()) == "PowerSumPoly(1*p[] + 3/2*p[2])"
-    # __eq__ returns NotImplemented for another type, so == falls back to identity
+    # GenSeries has no __eq__, and PowerSumPoly's returns NotImplemented for
+    # another type, so == falls back to identity
     assert (engine.GenSeries(1, 1) == 0) is False
     assert (PowerSumPoly.zero() == 0) is False
 

@@ -1,15 +1,19 @@
 """Source guards over the package's modules: every name a module imports is read
 somewhere in it, no module keeps a memo of its own, the cache has one
-conflict rule, the integrality theorem guards its one door, and each fact
-about a Hurwitz key is written once, in `partitions`."""
+conflict rule, the integrality theorem guards its one door, each fact
+about a Hurwitz key is written once, in `partitions`, and the API keeps no
+knob that no caller sets."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
 
 import hurwitz
+from hurwitz import analysis, oracle
+from hurwitz.engine import GenSeries
 
 MODULES = sorted(p for p in Path(hurwitz.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -251,3 +255,21 @@ def test_the_guard_finds_each_spelling_of_a_key_fact():
     assert spelled_out(source, "branch count") == ["r"]
     assert spelled_out(source, "printed profile") == ["C.show"]
     assert spelled_out(source, "part rule") == ["<module>"]
+
+
+def test_the_api_keeps_only_what_its_callers_use():
+    # The oracle's bound is a module constant, each audit is handed the run's
+    # cache, and the series keeps the methods the commands call.
+    assert list(inspect.signature(oracle.count_covers_bruteforce).parameters) == [
+        "d", "r", "mu", "connected", "groups"
+    ]
+    audits = ("integrality_audit", "identity_suite", "cross_method_audit", "oracle_audit", "parity_scan")
+    for name in audits:
+        cache = inspect.signature(getattr(analysis, name)).parameters["cache"]
+        assert cache.default is inspect.Parameter.empty, name
+    methods = {
+        name
+        for name, value in vars(GenSeries).items()
+        if callable(value) and (name.startswith("__") or not name.startswith("_"))
+    }
+    assert methods == {"__init__", "set", "__getitem__", "log"}

@@ -55,9 +55,10 @@ def test_rejects_bad_input():
         count_covers_bruteforce(2, -1, (2,))
 
 
-def test_work_bound_refusal():
+def test_work_bound_refusal(monkeypatch):
+    monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
     with pytest.raises(WorkBoundExceeded):
-        count_covers_bruteforce(6, 9, (6,), work_bound=10**6)
+        count_covers_bruteforce(6, 9, (6,))
 
 
 class _Indexed(Exception):
@@ -69,25 +70,27 @@ def test_refusal_rule_and_message(monkeypatch):
         raise _Indexed
 
     monkeypatch.setattr(hurwitz.oracle, "permutations", no_indexing)
+    with pytest.raises(WorkBoundExceeded):  # at the default bound
+        count_covers_bruteforce(12, 0, (1,) * 12)
     for bound in (10**3, 10**5):
+        monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", bound)
         for d in range(1, 9):
             for mu in partitions_of(d):
                 for r in range(13):
                     work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
                     if work > bound:
                         with pytest.raises(WorkBoundExceeded) as exc:
-                            count_covers_bruteforce(d, r, mu, work_bound=bound)
+                            count_covers_bruteforce(d, r, mu)
                         assert str(exc.value) == (
                             f"search size {work} exceeds work bound {bound} for d={d}, r={r}, mu={mu}"
                         )
                     else:
                         with pytest.raises(_Indexed):
-                            count_covers_bruteforce(d, r, mu, work_bound=bound)
+                            count_covers_bruteforce(d, r, mu)
+    monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
     with pytest.raises(WorkBoundExceeded) as exc:
-        count_covers_bruteforce(6, 9, (6,), work_bound=10**6)
+        count_covers_bruteforce(6, 9, (6,))
     assert str(exc.value) == "search size 4613203136520 exceeds work bound 1000000 for d=6, r=9, mu=(6,)"
-    with pytest.raises(WorkBoundExceeded):
-        count_covers_bruteforce(12, 0, (1,) * 12)
 
 
 def test_refused_call_leaves_the_groups_table_alone(monkeypatch):
@@ -98,8 +101,9 @@ def test_refused_call_leaves_the_groups_table_alone(monkeypatch):
         raise _Indexed
 
     monkeypatch.setattr(hurwitz.oracle, "permutations", no_indexing)
+    monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
     with pytest.raises(WorkBoundExceeded):
-        count_covers_bruteforce(6, 9, (6,), work_bound=10**6, groups=groups)
+        count_covers_bruteforce(6, 9, (6,), groups=groups)
     assert list(groups) == [3]
     # An entry already in the table is read, not rebuilt.
     assert count_covers_bruteforce(3, 2, (3,), connected=True, groups=groups) == 1
