@@ -257,16 +257,21 @@ def test_the_guard_finds_each_spelling_of_a_key_fact():
     assert spelled_out(source, "part rule") == ["<module>"]
 
 
-def test_the_api_keeps_only_what_its_callers_use():
-    # The oracle's bound is a module constant, each audit is handed the run's
-    # cache, and the series keeps the methods the commands call.
+def test_the_oracle_bound_is_a_module_constant():
     assert list(inspect.signature(oracle.count_covers_bruteforce).parameters) == [
         "d", "r", "mu", "connected", "groups"
     ]
-    audits = ("integrality_audit", "identity_suite", "cross_method_audit", "oracle_audit", "parity_scan")
-    for name in audits:
-        cache = inspect.signature(getattr(analysis, name)).parameters["cache"]
-        assert cache.default is inspect.Parameter.empty, name
+
+
+@pytest.mark.parametrize(
+    "name", ["integrality_audit", "identity_suite", "cross_method_audit", "oracle_audit", "parity_scan"]
+)
+def test_each_audit_is_handed_the_runs_cache(name):
+    cache = inspect.signature(getattr(analysis, name)).parameters["cache"]
+    assert cache.default is inspect.Parameter.empty
+
+
+def test_the_series_keeps_only_the_methods_the_commands_call():
     methods = {
         name
         for name, value in vars(GenSeries).items()
