@@ -240,7 +240,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         if not DECIMAL.fullmatch(text.removeprefix("-")):
             raise UsageError(f"{name} must be a decimal integer, got {text!r}")
         setattr(args, name, int(text))
-    path = args.cache or default_cache_path()
+    if args.cache == "":
+        raise UsageError("--cache needs a path, got ''")
+    path = default_cache_path() if args.cache is None else args.cache
     if args.command == "cache":
         if args.subop == "path":
             print(path)
@@ -253,7 +255,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         elif not os.path.exists(path):
             print(f"0 entries (no cache at {path})")
         else:
-            rs = [branch_count(g, mu) for g, mu in cache_load(path).entries]
+            rs = [branch_count(g, mu) for g, mu in cache_load(path).twice]
             span = f", r in [{min(rs)}, {max(rs)}]" if rs else ""
             print(f"{len(rs)} entries{span}")
         return 0

@@ -252,8 +252,10 @@ def integrality_check(g: int, mu: Partition, value: Fraction) -> tuple[str, bool
 
 
 class HurwitzCache:
-    """Memo map (g, mu) -> value for the cut-and-join recursion.
+    """Memo map (g, mu) -> 2h for the cut-and-join recursion.
 
+    `twice` holds twice the value at each key, an int: the integrality
+    theorem, checked at the one door `_store`, admits only multiples of 1/2.
     A key, once inserted, is never overwritten with a different value;
     disagreement is a hard error.  The persistence format is line-delimited
     JSON, sorted so saves are byte-for-byte reproducible.  A cache takes no
@@ -263,12 +265,9 @@ class HurwitzCache:
     """
 
     def __init__(self, path: str | None = None):
-        self.entries: dict[tuple[int, Partition], Fraction] = {}
+        self.twice: dict[tuple[int, Partition], int] = {}
         self.path = path
         self.dirty = False
-        # 2 * value of every entry `hurwitz_number` has computed or read; entries
-        # are never changed once inserted, so a stored 2h cannot go stale.
-        self._twice: dict[tuple[int, Partition], int] = {}
         # (sub-multiset, part) -> the split child's profile, for `_ledger`;
         # threads sharing the cache store equal profiles for a key.
         self._grown: dict[tuple[Partition, int], Partition] = {}
@@ -290,22 +289,24 @@ class HurwitzCache:
         if not integrality_check(key[0], key[1], value)[1]:
             mu = format_partition(key[1])
             raise ValueError(f"cached value {value} at g={key[0]}, mu=({mu}) contradicts the integrality theorem")
-        old = self.entries.get(key)
+        # the theorem leaves only denominators 1 and 2, so this is exact
+        twice = 2 * value.numerator // value.denominator
+        old = self.twice.get(key)
         if old is None:
-            self.entries[key] = value
+            self.twice[key] = twice
             return True
-        if old != value:
-            raise CacheConflictError(f"cache conflict at g={key[0]}, mu={key[1]}: {old} != {value}")
+        if old != twice:
+            raise CacheConflictError(f"cache conflict at g={key[0]}, mu={key[1]}: {Fraction(old, 2)} != {value}")
         return False
 
     def merge(self, other: "HurwitzCache") -> None:
         """Store every entry of another cache, whose keys are canonical already."""
-        for key, value in other.entries.items():
-            if self._store(key, value):
+        for key, twice in other.twice.items():
+            if self._store(key, Fraction(twice, 2)):
                 self.dirty = True
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.twice)
 
     def save(self) -> None:
         """Write the cache to its path, merged with the file already there.
@@ -325,10 +326,11 @@ class HurwitzCache:
             os.makedirs(parent, exist_ok=True)
         # Each line is json.dumps({"g", "mu", "num", "den"}, separators=(",", ":")),
         # written out directly: every field is an int or a string of digits.
+        # A value 2h / 2 in lowest terms is h / 1 for even 2h, else 2h / 2.
         lines = [
             f'{{"g":{g},"mu":[{",".join(map(str, mu))}],'
-            f'"num":"{value.numerator}","den":"{value.denominator}"}}'
-            for (g, mu), value in sorted(self.entries.items(), key=lambda item: key_order(item[0]))
+            f'"num":"{twice if twice % 2 else twice // 2}","den":"{1 + twice % 2}"}}'
+            for (g, mu), twice in sorted(self.twice.items(), key=lambda item: key_order(item[0]))
         ]
         # Write a sibling file and rename it over the target, so a crash or a
         # failed write leaves the old cache whole.  The name is unique per
@@ -508,16 +510,6 @@ def _replace(lam: Partition, remove: tuple[int, ...], add: tuple[int, ...]) -> P
     return tuple(sorted(parts + list(add), reverse=True))
 
 
-def _twice_value(key: tuple[int, Partition], value: Fraction) -> int:
-    """2 * value as an int; refuses a value that is not a multiple of 1/2."""
-    if value.denominator == 1:
-        return 2 * value.numerator
-    if value.denominator == 2:
-        return value.numerator
-    g, mu = key
-    raise ValueError(f"value {value} at g={g}, mu={mu} is not a multiple of 1/2")
-
-
 def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None) -> Fraction:
     """Connected Hurwitz number by the memoized cut-and-join recursion.
 
@@ -527,20 +519,15 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
     strictly smaller branch count, so evaluation ends at the single
     count-zero key (0, (1)), the trivial covering.
 
-    The sum runs on integers: each child's value is read as 2h once per
-    cache (a cached child that is not a multiple of 1/2 raises ValueError,
-    on every call, since a refused value is never stored as 2h), and each key's
+    The sum runs on integers: the cache holds 2h at each key, and each key's
     8h = sum of 2 * twice * (2 h1) over one-child terms plus twice * (2 h1)
     * (2 h2) over two-child terms must be divisible by 4, or ArithmeticError
     is raised: every evaluation checks that the value is again a multiple of
-    1/2.
+    1/2.  The one `Fraction` built is the value returned.
     """
     g, lam = hurwitz_key(g, mu)
     store = cache if cache is not None else HurwitzCache()
-    known = store.entries
-    if (g, lam) in known:
-        return known[(g, lam)]
-    twice_h = store._twice
+    twice_h = store.twice
     grown = store._grown
     # (key, its terms once built); a key is summed as soon as every child has
     # a 2h, and otherwise pushed back beneath its missing children.
@@ -550,14 +537,9 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
         if key in twice_h:
             continue
         if terms is None:
-            value = known.get(key)
-            if value is not None:
-                twice_h[key] = _twice_value(key, value)
-                continue
             if key == (0, (1,)):
-                known[key] = Fraction(1)
-                store.dirty = True
                 twice_h[key] = 2
+                store.dirty = True
                 continue
             terms = _ledger(key[0], key[1], grown)
         eight_h = 0
@@ -578,10 +560,9 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
         # Only a key missing on its first visit gets here, so this store
         # overwrites no value but an equal one another thread computed:
         # `insert`'s conflict check would find nothing.
-        known[key] = Fraction(eight_h // 4, 2)
-        store.dirty = True
         twice_h[key] = eight_h // 4
-    return known[(g, lam)]
+        store.dirty = True
+    return Fraction(twice_h[(g, lam)], 2)
 
 
 # ---------------------------------------------------------------------------

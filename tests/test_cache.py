@@ -15,7 +15,7 @@ from hurwitz.partitions import as_partition, ramification
 def test_insert_get_and_idempotence():
     cache = HurwitzCache()
     cache.insert(0, (1,), Fraction(1))
-    assert cache.entries.get((0, (1,))) == 1
+    assert cache.twice.get((0, (1,))) == 2
     cache.insert(0, (1,), Fraction(1))  # same value: no-op
     assert len(cache) == 1
     with pytest.raises(CacheConflictError):
@@ -30,7 +30,7 @@ def test_save_load_roundtrip(tmp_path):
     cache.insert(2, (2, 1), Fraction(364))
     cache.save()
     loaded = cache_load(path)
-    assert loaded.entries == cache.entries
+    assert loaded.twice == cache.twice
     assert loaded.path == path and not loaded.dirty
 
 
@@ -38,9 +38,9 @@ def test_insert_stores_at_the_canonical_key_that_load_gives_back(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = HurwitzCache(path)
     cache.insert(0, (1, 2), Fraction(4))
-    assert cache.entries == {(0, (2, 1)): 4}
+    assert cache.twice == {(0, (2, 1)): 8}
     cache.save()
-    assert cache_load(path).entries == {(0, (2, 1)): 4}
+    assert cache_load(path).twice == {(0, (2, 1)): 8}
 
 
 def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
@@ -80,7 +80,7 @@ def test_save_without_a_path_is_refused():
 def test_load_skips_blank_lines(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('\n{"g":0,"mu":[2],"num":"1","den":"2"}\n\n  \n{"g":1,"mu":[3],"num":"27","den":"1"}\n\n')
-    assert cache_load(str(path)).entries == {(0, (2,)): Fraction(1, 2), (1, (3,)): 27}
+    assert cache_load(str(path)).twice == {(0, (2,)): 1, (1, (3,)): 54}
 
 
 def test_load_malformed_line_reports_line_number(tmp_path):
@@ -111,7 +111,7 @@ def test_load_repeated_key_with_a_different_value_is_a_conflict(tmp_path):
 def test_load_ends_lines_where_text_mode_does(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_bytes(b'{"g":0,"mu":[2],"num":"1","den":"2"}\r{"g":1,"mu":[3],"num":"27","den":"1"}\r\n\x0c\n')
-    assert cache_load(str(path)).entries == {(0, (2,)): Fraction(1, 2), (1, (3,)): 27}
+    assert cache_load(str(path)).twice == {(0, (2,)): 1, (1, (3,)): 54}
 
 
 def test_load_rejects_a_profile_that_is_not_a_partition(tmp_path):
@@ -154,9 +154,7 @@ def test_load_accepts_the_lines_save_writes(tmp_path):
         '{"g":0,"mu":[2],"num":"1","den":"2"}\n'
         '{"g":1,"mu":[1],"num":"0","den":"1"}\n'
     )
-    assert cache_load(str(path)).entries == {
-        (0, (1,)): 1, (1, (3,)): 27, (0, (2,)): Fraction(1, 2), (1, (1,)): 0,
-    }
+    assert cache_load(str(path)).twice == {(0, (1,)): 2, (1, (3,)): 54, (0, (2,)): 1, (1, (1,)): 0}
 
 
 @pytest.mark.parametrize(
@@ -178,7 +176,7 @@ def test_load_names_a_reducible_fraction_or_an_extra_field(tmp_path, line, fault
 def test_load_accepts_any_spacing_and_key_order(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{ "den": "2",  "mu": [ 2 ], "num": "1", "g": 0 }\n{"g": 1, "mu": [3], "num": "27", "den": "1"}\n')
-    assert cache_load(str(path)).entries == {(0, (2,)): Fraction(1, 2), (1, (3,)): 27}
+    assert cache_load(str(path)).twice == {(0, (2,)): 1, (1, (3,)): 54}
 
 
 @pytest.mark.parametrize(
@@ -196,7 +194,7 @@ def test_insert_refuses_a_key_that_load_refuses(g, mu, message):
     with pytest.raises(ValueError) as info:
         cache.insert(g, mu, Fraction(1, 2))
     assert str(info.value) == message
-    assert cache.entries == {} and not cache.dirty
+    assert cache.twice == {} and not cache.dirty
 
 
 def _reference_load(path):
@@ -258,7 +256,7 @@ def test_load_refuses_exactly_the_profiles_as_partition_refuses(tmp_path, mu):
                 cache_load(str(path))
             assert str(info.value) == f"{path}:2: malformed cache line: empty ramification profile"
         else:
-            assert list(cache_load(str(path)).entries.items()) == [((0, (1,)), 1), ((1, expected), 1)]
+            assert list(cache_load(str(path)).twice.items()) == [((0, (1,)), 2), ((1, expected), 2)]
 
 
 @pytest.mark.parametrize(
@@ -349,7 +347,7 @@ def test_load_matches_the_plain_reader_on_every_key_up_to_branch_count_18(tmp_pa
     for g, mu in keys_with_ramification_at_most(18):
         hurwitz_number(g, mu, cache)
     cache.save()
-    assert list(cache_load(path).entries.items()) == list(_reference_load(path).items())
+    assert list(cache_load(path).twice.items()) == [(key, 2 * value) for key, value in _reference_load(path).items()]
 
 
 def test_recursion_stores_its_values_without_insert(monkeypatch):
@@ -360,7 +358,7 @@ def test_recursion_stores_its_values_without_insert(monkeypatch):
     cache = HurwitzCache()
     assert hurwitz_number(2, (2, 1), cache) == 364
     assert cache.dirty
-    assert cache.entries.get((0, (1,))) == 1 and cache.entries.get((2, (2, 1))) == 364
+    assert cache.twice.get((0, (1,))) == 2 and cache.twice.get((2, (2, 1))) == 728
 
 
 def test_merge_conflict_is_fatal():
@@ -392,7 +390,7 @@ def test_two_caches_saving_one_path_in_turn_keep_both_new_keys(tmp_path):
     b.insert(1, (3,), Fraction(9))
     a.save()
     b.save()
-    assert cache_load(path).entries == {(0, (1,)): 1, (0, (2,)): Fraction(1, 2), (1, (3,)): 9}
+    assert cache_load(path).twice == {(0, (1,)): 2, (0, (2,)): 1, (1, (3,)): 18}
     assert not b.dirty
 
 
@@ -423,7 +421,7 @@ def test_insert_refuses_a_value_the_theorem_rules_out(g, mu, value, shown):
         cache.insert(g, mu, value)
     assert str(info.value) == f"cached value {value} at g={g}, mu={shown} contradicts the integrality theorem"
     assert type(info.value) is ValueError
-    assert cache.entries == {} and not cache.dirty
+    assert cache.twice == {} and not cache.dirty
 
 
 def test_save_over_a_file_with_a_value_the_theorem_rules_out_raises_and_keeps_the_file(tmp_path):
@@ -534,15 +532,15 @@ def test_roundtrip_random_entries(tmp_path_factory, entries):
     for g, mu, n, other in entries:
         key = tuple(sorted(mu, reverse=True))
         if not _admitted(g, key, other):
-            before = dict(cache.entries)
+            before = dict(cache.twice)
             with pytest.raises(ValueError, match="contradicts the integrality theorem"):
                 cache.insert(g, key, other)
-            assert cache.entries == before
-        if cache.entries.get((g, key)) is None:
+            assert cache.twice == before
+        if cache.twice.get((g, key)) is None:
             value = next(v for v in (Fraction(n), Fraction(1, 2), Fraction(0)) if _admitted(g, key, v))
             cache.insert(g, key, value)
     cache.save()
-    assert cache_load(path).entries == cache.entries
+    assert cache_load(path).twice == cache.twice
 
 
 def test_recursion_reuses_persisted_values(tmp_path):

@@ -105,6 +105,13 @@ def test_compute_usage_errors(capsys):
     assert code == 2 and "refused" in err  # work bound
 
 
+def test_oracle_refusal_of_a_huge_search_is_one_short_line(capsys):
+    # The search size, 2 * 3^2000002 + 24, has 954,244 digits; the message leaves it out.
+    code, out, err = run(capsys, "compute", "1000000", "3", "--method", "oracle")
+    assert code == 2 and out == ""
+    assert err == "refused: search size exceeds work bound 100000000 for d=3, r=2000002, mu=(3,)\n"
+
+
 def test_out_of_memory_exits_2(capsys, monkeypatch):
     # stands in for `compute 0 "2^9999999999"`, which asks for a list of 10^10 parts
     def exhausted(text):
@@ -595,6 +602,31 @@ def test_cache_clear_without_a_file(capsys, isolated_cache):
     assert not os.path.exists(isolated_cache)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("compute", "0", "2,1"),
+        ("table", "--nmax", "2"),
+        ("verify", "--rmax", "1"),
+        ("parity", "--rmax", "2"),
+        ("cache", "path"),
+        ("cache", "clear"),
+        ("cache", "stats"),
+    ],
+    ids=" ".join,
+)
+def test_an_empty_cache_flag_exits_2_and_touches_no_file(capsys, monkeypatch, tmp_path, argv):
+    # Every place a cache path can come from points into tmp_path, which must
+    # stay empty: an empty --cache is refused, not read as no flag at all.
+    monkeypatch.setenv("HOME", str(tmp_path / "home"))
+    monkeypatch.setenv("XDG_DATA_HOME", str(tmp_path / "xdg"))
+    monkeypatch.setenv("HURWITZ_CACHE", str(tmp_path / "env.jsonl"))
+    code, out, err = run(capsys, *argv, "--cache", "")
+    assert code == 2 and out == ""
+    assert err == "error: --cache needs a path, got ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cache_flag_overrides_env(capsys, tmp_path):
     override = str(tmp_path / "elsewhere.jsonl")
     code, out, _ = run(capsys, "cache", "path", "--cache", override)
@@ -609,6 +641,8 @@ def test_default_cache_path_respects_env(monkeypatch):
     assert default_cache_path() == "/tmp/xdgtest/hurwitz/cache.jsonl"
     monkeypatch.setenv("HURWITZ_CACHE", "/tmp/explicit.jsonl")
     assert default_cache_path() == "/tmp/explicit.jsonl"
+    monkeypatch.setenv("HURWITZ_CACHE", "")  # empty counts as unset
+    assert default_cache_path() == "/tmp/xdgtest/hurwitz/cache.jsonl"
 
 
 @pytest.mark.parametrize("xdg", [None, "", "relative/share"])

@@ -1,8 +1,8 @@
 """Source guards over the package's modules: every name a module imports is read
 somewhere in it, no module keeps a memo of its own, the cache has one
-conflict rule, the integrality theorem guards its one door, each fact
-about a Hurwitz key is written once, in `partitions`, and the API keeps no
-knob that no caller sets."""
+conflict rule and one value map, the integrality theorem guards its one
+door, each fact about a Hurwitz key is written once, in `partitions`, and
+the API keeps no knob that no caller sets."""
 
 import ast
 import inspect
@@ -13,7 +13,7 @@ import pytest
 
 import hurwitz
 from hurwitz import analysis, oracle
-from hurwitz.engine import GenSeries
+from hurwitz.engine import GenSeries, HurwitzCache
 
 MODULES = sorted(p for p in Path(hurwitz.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -278,3 +278,9 @@ def test_the_series_keeps_only_the_methods_the_commands_call():
         if callable(value) and (name.startswith("__") or not name.startswith("_"))
     }
     assert methods == {"__init__", "set", "__getitem__", "log"}
+
+
+def test_the_cache_keeps_one_value_map():
+    # One map holds the values, as 2h; the rest are the path, the dirty flag
+    # and `_ledger`'s table of split profiles.
+    assert set(vars(HurwitzCache())) == {"twice", "path", "dirty", "_grown"}

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -15,7 +16,7 @@ from hurwitz import (
     hurwitz_number,
     partitions_of,
 )
-from hurwitz.oracle import cycle_type
+from hurwitz.oracle import WORK_BOUND, cycle_type
 
 
 def test_cycle_type():
@@ -82,7 +83,7 @@ def test_refusal_rule_and_message(monkeypatch):
                         with pytest.raises(WorkBoundExceeded) as exc:
                             count_covers_bruteforce(d, r, mu)
                         assert str(exc.value) == (
-                            f"search size {work} exceeds work bound {bound} for d={d}, r={r}, mu={mu}"
+                            f"search size exceeds work bound {bound} for d={d}, r={r}, mu={mu}"
                         )
                     else:
                         with pytest.raises(_Indexed):
@@ -90,7 +91,21 @@ def test_refusal_rule_and_message(monkeypatch):
     monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
     with pytest.raises(WorkBoundExceeded) as exc:
         count_covers_bruteforce(6, 9, (6,))
-    assert str(exc.value) == "search size 4613203136520 exceeds work bound 1000000 for d=6, r=9, mu=(6,)"
+    assert str(exc.value) == "search size exceeds work bound 1000000 for d=6, r=9, mu=(6,)"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
+def test_refusal_of_a_size_past_the_default_int_digit_limit():
+    # The search size has 18,328 digits, past the 4,300 that str() of
+    # an int converts by default, so the message must not print it.
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    try:
+        with pytest.raises(WorkBoundExceeded) as exc:
+            count_covers_bruteforce(2000, 1999, (2000,))
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert str(exc.value) == f"search size exceeds work bound {WORK_BOUND} for d=2000, r=1999, mu=(2000,)"
 
 
 def test_refused_call_leaves_the_groups_table_alone(monkeypatch):
