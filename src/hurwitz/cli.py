@@ -277,6 +277,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             raise UsageError("rmax beyond 14 requires --allow-long")
 
     cache = cache_load(path)
+    loaded = len(cache)
     ok = True
     if args.command == "compute":
         print(cmd_compute(g, mu, args.method, cache))
@@ -292,7 +293,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     # Deliver the output first: if the reader has gone, the BrokenPipeError
     # ends the run before the save, as SIGPIPE would.
     sys.stdout.flush()
-    if cache.dirty:
+    # A key is never removed or overwritten, so a run added keys exactly
+    # when the map grew.
+    if len(cache) > loaded:
         cache.save()
     return 0 if ok else CHECK_FAILURE
 

@@ -267,7 +267,6 @@ class HurwitzCache:
     def __init__(self, path: str | None = None):
         self.twice: dict[tuple[int, Partition], int] = {}
         self.path = path
-        self.dirty = False
         # (sub-multiset, part) -> the split child's profile, for `_ledger`;
         # threads sharing the cache store equal profiles for a key.
         self._grown: dict[tuple[Partition, int], Partition] = {}
@@ -278,32 +277,26 @@ class HurwitzCache:
         A key that `hurwitz_key` refuses or a value the integrality theorem rules
         out raises ValueError, so the cache never holds an entry `cache_load` refuses.
         """
-        if self._store(hurwitz_key(g, mu), Fraction(value)):
-            self.dirty = True
+        self._store(hurwitz_key(g, mu), Fraction(value))
 
-    def _store(self, key: tuple[int, Partition], value: Fraction) -> bool:
-        """Store a value at a key `hurwitz_key` has made canonical; True when
-        the key is new.  The one rule for values from outside the recursion
-        (`insert`, `merge`, `cache_load`): a value the integrality theorem rules
-        out raises ValueError, a key held with another value CacheConflictError."""
+    def _store(self, key: tuple[int, Partition], value: Fraction) -> None:
+        """Store a value at a key `hurwitz_key` has made canonical.  The one
+        rule for values from outside the recursion (`insert`, `merge`,
+        `cache_load`): a value the integrality theorem rules out raises
+        ValueError, a key held with another value CacheConflictError."""
         if not integrality_check(key[0], key[1], value)[1]:
             mu = format_partition(key[1])
             raise ValueError(f"cached value {value} at g={key[0]}, mu=({mu}) contradicts the integrality theorem")
         # the theorem leaves only denominators 1 and 2, so this is exact
         twice = 2 * value.numerator // value.denominator
-        old = self.twice.get(key)
-        if old is None:
-            self.twice[key] = twice
-            return True
+        old = self.twice.setdefault(key, twice)
         if old != twice:
             raise CacheConflictError(f"cache conflict at g={key[0]}, mu={key[1]}: {Fraction(old, 2)} != {value}")
-        return False
 
     def merge(self, other: "HurwitzCache") -> None:
         """Store every entry of another cache, whose keys are canonical already."""
         for key, twice in other.twice.items():
-            if self._store(key, Fraction(twice, 2)):
-                self.dirty = True
+            self._store(key, Fraction(twice, 2))
 
     def __len__(self) -> int:
         return len(self.twice)
@@ -346,7 +339,6 @@ class HurwitzCache:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
             raise
-        self.dirty = False
 
 
 def cache_load(path: str) -> HurwitzCache:
@@ -539,7 +531,6 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
         if terms is None:
             if key == (0, (1,)):
                 twice_h[key] = 2
-                store.dirty = True
                 continue
             terms = _ledger(key[0], key[1], grown)
         eight_h = 0
@@ -561,7 +552,6 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
         # overwrites no value but an equal one another thread computed:
         # `insert`'s conflict check would find nothing.
         twice_h[key] = eight_h // 4
-        store.dirty = True
     return Fraction(twice_h[(g, lam)], 2)
 
 

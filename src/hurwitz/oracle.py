@@ -88,14 +88,14 @@ def count_covers_bruteforce(
     upper bound on the search, kept as the refusal rule so that the same
     inputs are refused as by a search from every s in the class.  It counts
     the indexing on every call, whether or not `groups` already holds S_d.
-    The refusal names the bound and the arguments, not the size, which can
-    run to hundreds of thousands of digits.
+    The refusal names the bound, d, r and len(mu): the size and the parts
+    can each print as hundreds of thousands of characters.
     """
     mu = cover_args(d, r, mu)
     work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
     if work > WORK_BOUND:
         raise WorkBoundExceeded(
-            f"search size exceeds work bound {WORK_BOUND} for d={d}, r={r}, mu={mu}"
+            f"search size exceeds work bound {WORK_BOUND} for d={d}, r={r}, len(mu)={len(mu)}"
         )
 
     transpositions = [(a, b) for a in range(d) for b in range(a + 1, d)]

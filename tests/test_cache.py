@@ -31,7 +31,7 @@ def test_save_load_roundtrip(tmp_path):
     cache.save()
     loaded = cache_load(path)
     assert loaded.twice == cache.twice
-    assert loaded.path == path and not loaded.dirty
+    assert loaded.path == path
 
 
 def test_insert_stores_at_the_canonical_key_that_load_gives_back(tmp_path):
@@ -59,7 +59,7 @@ def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkey
         cache.save()
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["cache.jsonl"]
-    assert cache.dirty
+    assert cache.twice[(0, (2,))] == 1
 
 
 def test_load_missing_path_gives_empty_cache_at_that_path(tmp_path):
@@ -74,7 +74,7 @@ def test_save_without_a_path_is_refused():
     cache.insert(0, (1,), Fraction(1))
     with pytest.raises(ValueError, match="^no cache path configured$"):
         cache.save()
-    assert cache.dirty
+    assert cache.twice == {(0, (1,)): 2}
 
 
 def test_load_skips_blank_lines(tmp_path):
@@ -194,7 +194,7 @@ def test_insert_refuses_a_key_that_load_refuses(g, mu, message):
     with pytest.raises(ValueError) as info:
         cache.insert(g, mu, Fraction(1, 2))
     assert str(info.value) == message
-    assert cache.twice == {} and not cache.dirty
+    assert cache.twice == {}
 
 
 def _reference_load(path):
@@ -357,7 +357,6 @@ def test_recursion_stores_its_values_without_insert(monkeypatch):
     monkeypatch.setattr(HurwitzCache, "insert", refuse)
     cache = HurwitzCache()
     assert hurwitz_number(2, (2, 1), cache) == 364
-    assert cache.dirty
     assert cache.twice.get((0, (1,))) == 2 and cache.twice.get((2, (2, 1))) == 728
 
 
@@ -391,7 +390,6 @@ def test_two_caches_saving_one_path_in_turn_keep_both_new_keys(tmp_path):
     a.save()
     b.save()
     assert cache_load(path).twice == {(0, (1,)): 2, (0, (2,)): 1, (1, (3,)): 18}
-    assert not b.dirty
 
 
 def test_save_over_a_file_that_disagrees_is_a_conflict_and_keeps_the_file(tmp_path):
@@ -421,7 +419,7 @@ def test_insert_refuses_a_value_the_theorem_rules_out(g, mu, value, shown):
         cache.insert(g, mu, value)
     assert str(info.value) == f"cached value {value} at g={g}, mu={shown} contradicts the integrality theorem"
     assert type(info.value) is ValueError
-    assert cache.twice == {} and not cache.dirty
+    assert cache.twice == {}
 
 
 def test_save_over_a_file_with_a_value_the_theorem_rules_out_raises_and_keeps_the_file(tmp_path):

@@ -109,7 +109,14 @@ def test_oracle_refusal_of_a_huge_search_is_one_short_line(capsys):
     # The search size, 2 * 3^2000002 + 24, has 954,244 digits; the message leaves it out.
     code, out, err = run(capsys, "compute", "1000000", "3", "--method", "oracle")
     assert code == 2 and out == ""
-    assert err == "refused: search size exceeds work bound 100000000 for d=3, r=2000002, mu=(3,)\n"
+    assert err == "refused: search size exceeds work bound 100000000 for d=3, r=2000002, len(mu)=1\n"
+
+
+def test_oracle_refusal_of_a_long_profile_is_one_short_line(capsys):
+    # The refusal names the profile's length, not its 60,000 parts.
+    code, out, err = run(capsys, "compute", "0", "1^60000", "--method", "oracle")
+    assert code == 2 and out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1 and len(err.encode()) < 200
 
 
 def test_out_of_memory_exits_2(capsys, monkeypatch):
@@ -662,6 +669,34 @@ def test_compute_persists_cache_across_invocations(capsys, isolated_cache):
     size_first = os.path.getsize(isolated_cache)
     run(capsys, "compute", "2", "2,1", "--method", "cj")
     assert os.path.getsize(isolated_cache) == size_first
+
+
+def test_a_run_saves_the_cache_exactly_when_it_added_keys(capsys, isolated_cache, monkeypatch):
+    saves = []
+    save = hurwitz.engine.HurwitzCache.save
+
+    def counted(cache):
+        saves.append(cache.path)
+        save(cache)
+
+    monkeypatch.setattr(hurwitz.engine.HurwitzCache, "save", counted)
+
+    def save_count(*argv):
+        saves.clear()
+        run(capsys, *argv)
+        assert set(saves) <= {isolated_cache}
+        return len(saves)
+
+    assert save_count("verify", "--rmax", "3") == 1
+    os.remove(isolated_cache)
+    assert save_count("compute", "1", "3") == 1  # a miss
+    assert save_count("compute", "1", "3") == 0  # a hit
+    for method in ("charsum", "operator", "closed", "oracle"):
+        assert save_count("compute", "1", "3", "--method", method) == 0
+    assert save_count("table", "--gmax", "1", "--nmax", "3") == 1
+    assert save_count("table", "--gmax", "1", "--nmax", "3") == 0
+    assert save_count("cache", "stats") == 0
+    assert save_count("compute", "-1", "2") == 0
 
 
 def _write_cache(path, entries):

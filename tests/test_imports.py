@@ -1,19 +1,21 @@
 """Source guards over the package's modules: every name a module imports is read
 somewhere in it, no module keeps a memo of its own, the cache has one
-conflict rule and one value map, the integrality theorem guards its one
-door, each fact about a Hurwitz key is written once, in `partitions`, and
-the API keeps no knob that no caller sets."""
+conflict rule and no state but its value map, its path and the ledger's
+split profiles, the integrality theorem guards its one door, each fact
+about a Hurwitz key is written once, in `partitions`, and the API keeps no
+knob that no caller sets."""
 
 import ast
 import inspect
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import hurwitz
 from hurwitz import analysis, oracle
-from hurwitz.engine import GenSeries, HurwitzCache
+from hurwitz.engine import GenSeries, HurwitzCache, hurwitz_number
 
 MODULES = sorted(p for p in Path(hurwitz.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -280,7 +282,17 @@ def test_the_series_keeps_only_the_methods_the_commands_call():
     assert methods == {"__init__", "set", "__getitem__", "log"}
 
 
-def test_the_cache_keeps_one_value_map():
-    # One map holds the values, as 2h; the rest are the path, the dirty flag
-    # and `_ledger`'s table of split profiles.
-    assert set(vars(HurwitzCache())) == {"twice", "path", "dirty", "_grown"}
+def test_the_cache_keeps_one_value_map(tmp_path):
+    # One map holds the values, as 2h; the rest are the path and `_ledger`'s
+    # table of split profiles.  No writer sets a flag beside the map: what a
+    # run has not saved is read off the map's growth.
+    state = {"twice", "path", "_grown"}
+    cache = HurwitzCache(str(tmp_path / "cache.jsonl"))
+    assert set(vars(cache)) == state
+    hurwitz_number(1, (2, 1), cache)
+    cache.insert(0, (3,), Fraction(1))
+    other = HurwitzCache()
+    other.insert(1, (3,), Fraction(9))
+    cache.merge(other)
+    cache.save()
+    assert set(vars(cache)) == state

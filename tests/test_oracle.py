@@ -83,7 +83,7 @@ def test_refusal_rule_and_message(monkeypatch):
                         with pytest.raises(WorkBoundExceeded) as exc:
                             count_covers_bruteforce(d, r, mu)
                         assert str(exc.value) == (
-                            f"search size exceeds work bound {bound} for d={d}, r={r}, mu={mu}"
+                            f"search size exceeds work bound {bound} for d={d}, r={r}, len(mu)={len(mu)}"
                         )
                     else:
                         with pytest.raises(_Indexed):
@@ -91,7 +91,7 @@ def test_refusal_rule_and_message(monkeypatch):
     monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
     with pytest.raises(WorkBoundExceeded) as exc:
         count_covers_bruteforce(6, 9, (6,))
-    assert str(exc.value) == "search size exceeds work bound 1000000 for d=6, r=9, mu=(6,)"
+    assert str(exc.value) == "search size exceeds work bound 1000000 for d=6, r=9, len(mu)=1"
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
@@ -105,7 +105,7 @@ def test_refusal_of_a_size_past_the_default_int_digit_limit():
             count_covers_bruteforce(2000, 1999, (2000,))
     finally:
         sys.set_int_max_str_digits(old)
-    assert str(exc.value) == f"search size exceeds work bound {WORK_BOUND} for d=2000, r=1999, mu=(2000,)"
+    assert str(exc.value) == f"search size exceeds work bound {WORK_BOUND} for d=2000, r=1999, len(mu)=1"
 
 
 def test_refused_call_leaves_the_groups_table_alone(monkeypatch):
