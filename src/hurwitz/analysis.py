@@ -268,11 +268,11 @@ def cross_method_audit(r_max: int, cache: HurwitzCache) -> AuditReport:
     report = AuditReport(name="cross-method", scope=f"r<={r_max}")
     keys = keys_with_ramification_at_most(r_max)
     # Every key has |mu| <= r_max + 1: build each log table once, at full size.
-    for method in ("operator", "charsum"):
+    for method in engine._SERIES_BUILDERS:
         engine.log_table(r_max + 1, r_max, method)
     for g, mu in keys:
         h = hurwitz_number(g, mu, cache)
-        for method in ("operator", "charsum"):
+        for method in engine._SERIES_BUILDERS:
             other = engine.connected_from_log(g, mu, method=method)
             if other != h:
                 report.records.append(AuditRecord(method, g, mu, str(other), False, f"!= {h}"))

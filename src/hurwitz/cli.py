@@ -73,7 +73,7 @@ def cmd_compute(g: int, mu: Partition, method: str, cache: HurwitzCache) -> str:
     start = time.perf_counter()
     if method == "cj":
         value = engine.hurwitz_number(g, mu, cache)
-    elif method in ("charsum", "operator"):
+    elif method in engine._SERIES_BUILDERS:
         value = engine.connected_from_log(g, mu, method=method)
     elif method == "closed":
         if len(mu) == 1:
@@ -144,7 +144,8 @@ def run_verification(r_max: int, with_oracle: bool, cache: HurwitzCache) -> bool
         print(("PASS" if report.ok else "FAIL") + f" {report.name}: {report.summary}")
         for rec in [rec for rec in report.records if not rec.passed][:SHOWN_MISMATCHES]:
             where = "" if rec.g is None else f" g={rec.g}"
-            print(f"  mismatch{where} mu={rec.mu} {rec.label}: {rec.value} {rec.detail}".rstrip())
+            line = f"  mismatch{where} mu=({format_partition(rec.mu)}) {rec.label}: {rec.value} {rec.detail}"
+            print(line.rstrip())
     return ok
 
 

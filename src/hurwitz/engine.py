@@ -37,24 +37,16 @@ from .symfunc import CharMemo, PowerSumPoly, _character, cut_and_join
 SeriesKey = tuple[int, int, Partition]
 
 
-def _series_key(d: int, r: int, mu: Iterable[int]) -> SeriesKey:
-    """The key (d, r, mu) with mu canonical; refuses a mu not of size d or a negative r."""
-    mu = as_partition(mu)
-    if sum(mu) != d:
-        raise ValueError(f"key partition {mu} does not have size {d}")
-    if r < 0:
-        raise ValueError("r must be non-negative")
-    return d, r, mu
-
-
 class GenSeries:
     """Truncated generating series with entries indexed by (d, r, mu).
 
     The entry at (d, r, mu) is the coefficient of Q^d (beta^r / r!) p_mu, so
     the beta grading is a divided-power grading: products pick up binomial
-    weights in r.  Keys outside the truncation bounds are dropped; a key whose
-    mu does not have size d, or whose r is negative, is refused on reads and
-    writes alike.
+    weights in r.  A table is written only by the build that computes it
+    (`covering_series`, `covering_series_charsum`, `log`), straight into
+    `coeffs`: canonical keys within the bounds, nonzero `Fraction` values.
+    The one checked door is the read, which refuses a key whose mu does not
+    have size d or whose r is negative.
     """
 
     __slots__ = ("d_max", "r_max", "coeffs")
@@ -66,19 +58,14 @@ class GenSeries:
         self.r_max = r_max
         self.coeffs: dict[SeriesKey, Fraction] = {}
 
-    def set(self, d: int, r: int, mu: Iterable[int], value) -> None:
-        key = _series_key(d, r, mu)
-        if d > self.d_max or r > self.r_max:
-            return
-        value = Fraction(value)
-        if value:
-            self.coeffs[key] = value
-        else:
-            self.coeffs.pop(key, None)
-
     def __getitem__(self, key: SeriesKey) -> Fraction:
         d, r, mu = key
-        return self.coeffs.get(_series_key(d, r, mu), Fraction(0))
+        mu = as_partition(mu)
+        if sum(mu) != d:
+            raise ValueError(f"key partition {mu} does not have size {d}")
+        if r < 0:
+            raise ValueError("r must be non-negative")
+        return self.coeffs.get((d, r, mu), Fraction(0))
 
     def log(self) -> "GenSeries":
         """Series logarithm, requiring constant term exactly 1.
@@ -175,8 +162,7 @@ def covering_series(d_max: int, r_max: int) -> GenSeries:
         inv = Fraction(1, factorial(d))
         for r in range(r_max + 1):
             poly = cut_and_join(poly) if r else PowerSumPoly.monomial((1,) * d)
-            for mu, c in poly.terms.items():
-                out.set(d, r, mu, c * inv)
+            out.coeffs.update(((d, r, mu), c * inv) for mu, c in poly.terms.items())
     return out
 
 
@@ -184,13 +170,14 @@ def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
     """Generating series of disconnected counts, built by character sums; one
     character memo serves every d, as the border strips reach smaller sizes."""
     out = GenSeries(d_max, r_max)
-    out.set(0, 0, (), 1)
+    out.coeffs[(0, 0, ())] = Fraction(1)
     memo: CharMemo = {}
     for d in range(1, d_max + 1):
         irreps = _irreps(d)
         for mu in partitions_of(d):
             for r, value in enumerate(_charsum_counts(irreps, mu, range(r_max + 1), memo)):
-                out.set(d, r, mu, value)
+                if value:
+                    out.coeffs[(d, r, mu)] = value
     return out
 
 
@@ -212,7 +199,8 @@ def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
     """
     builder = _SERIES_BUILDERS.get(method)
     if builder is None:
-        raise ValueError(f"unknown series method {method!r}; expected 'operator' or 'charsum'")
+        expected = " or ".join(map(repr, _SERIES_BUILDERS))
+        raise ValueError(f"unknown series method {method!r}; expected {expected}")
     cur = _log_tables.get(method)
     if cur is not None and cur.d_max >= d_max and cur.r_max >= r_max:
         return cur
@@ -260,8 +248,8 @@ class HurwitzCache:
     disagreement is a hard error.  The persistence format is line-delimited
     JSON, sorted so saves are byte-for-byte reproducible.  A cache takes no
     lock: threads may share it for `hurwitz_number`, which stores the same
-    value for a key in every thread, but `insert`, `merge` and `save` need
-    it to themselves.
+    value for a key in every thread, but `insert` and `save` need it to
+    themselves.
     """
 
     def __init__(self, path: str | None = None):
@@ -281,22 +269,21 @@ class HurwitzCache:
 
     def _store(self, key: tuple[int, Partition], value: Fraction) -> None:
         """Store a value at a key `hurwitz_key` has made canonical.  The one
-        rule for values from outside the recursion (`insert`, `merge`,
-        `cache_load`): a value the integrality theorem rules out raises
-        ValueError, a key held with another value CacheConflictError."""
-        if not integrality_check(key[0], key[1], value)[1]:
-            mu = format_partition(key[1])
-            raise ValueError(f"cached value {value} at g={key[0]}, mu=({mu}) contradicts the integrality theorem")
+        rule for values from outside the recursion (`insert`, `cache_load`
+        and `save`'s reload): a value the integrality theorem rules out
+        raises ValueError, a key held with another value CacheConflictError."""
+        g, mu = key
+        if not integrality_check(g, mu, value)[1]:
+            raise ValueError(
+                f"cached value {value} at g={g}, mu=({format_partition(mu)}) contradicts the integrality theorem"
+            )
         # the theorem leaves only denominators 1 and 2, so this is exact
         twice = 2 * value.numerator // value.denominator
         old = self.twice.setdefault(key, twice)
         if old != twice:
-            raise CacheConflictError(f"cache conflict at g={key[0]}, mu={key[1]}: {Fraction(old, 2)} != {value}")
-
-    def merge(self, other: "HurwitzCache") -> None:
-        """Store every entry of another cache, whose keys are canonical already."""
-        for key, twice in other.twice.items():
-            self._store(key, Fraction(twice, 2))
+            raise CacheConflictError(
+                f"cache conflict at g={g}, mu=({format_partition(mu)}): {Fraction(old, 2)} != {value}"
+            )
 
     def __len__(self) -> int:
         return len(self.twice)
@@ -304,16 +291,17 @@ class HurwitzCache:
     def save(self) -> None:
         """Write the cache to its path, merged with the file already there.
 
-        The file is reloaded and merged first, so entries another run saved
-        since this cache was loaded are kept; a line `cache_load` refuses, or
-        a value that disagrees with this cache, raises and leaves the file as
-        it is.  Two runs can still race between the reload and the rename.
+        The whole file is reloaded first and each of its entries stored, so
+        entries another run saved since this cache was loaded are kept; a
+        line `cache_load` refuses, anywhere in the file, raises before a value
+        that disagrees with this cache does, and either leaves the file as it
+        is.  Two runs can still race between the reload and the rename.
         """
         path = self.path
         if not path:
             raise ValueError("no cache path configured")
-        if os.path.exists(path):
-            self.merge(cache_load(path))
+        for key, twice in cache_load(path).twice.items():
+            self._store(key, Fraction(twice, 2))
         parent = os.path.dirname(path)
         if parent:
             os.makedirs(parent, exist_ok=True)
@@ -546,7 +534,8 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
             continue
         if eight_h % 4:
             raise ArithmeticError(
-                f"cut-and-join sum at g={key[0]}, mu={key[1]} is not a multiple of 1/2: 8h = {eight_h}"
+                f"cut-and-join sum at g={key[0]}, mu=({format_partition(key[1])}) is not a multiple of 1/2: "
+                f"8h = {eight_h}"
             )
         # Only a key missing on its first visit gets here, so this store
         # overwrites no value but an equal one another thread computed:

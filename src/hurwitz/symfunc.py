@@ -57,8 +57,17 @@ class PowerSumPoly:
         return cls({(n,): Fraction(1)})
 
     @classmethod
-    def monomial(cls, mu: Iterable[int], coeff: Scalar = 1) -> "PowerSumPoly":
-        return cls({tuple(sorted(mu, reverse=True)): Fraction(coeff)})
+    def monomial(cls, mu: Iterable[int]) -> "PowerSumPoly":
+        """The single product p_mu, for a multi-index mu."""
+        return cls({tuple(sorted(mu, reverse=True)): Fraction(1)})
+
+    @classmethod
+    def _computed(cls, terms: dict[Partition, Fraction]) -> "PowerSumPoly":
+        """A result built here, keyed by canonical partitions already: only
+        its zero terms are dropped, and `__init__`'s checks are skipped."""
+        res = cls()
+        res.terms = {mu: c for mu, c in terms.items() if c}
+        return res
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PowerSumPoly):
@@ -69,26 +78,17 @@ class PowerSumPoly:
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, 0) + c
-        res = PowerSumPoly.zero()
-        res.terms = {mu: c for mu, c in out.items() if c}
-        return res
+        return PowerSumPoly._computed(out)
 
     def __mul__(self, other: "PowerSumPoly | Scalar") -> "PowerSumPoly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if not c:
-                return PowerSumPoly.zero()
-            res = PowerSumPoly.zero()
-            res.terms = {mu: c * v for mu, v in self.terms.items()}
-            return res
+            return PowerSumPoly._computed({mu: other * v for mu, v in self.terms.items()})
         out: dict[Partition, Fraction] = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
                 key = tuple(sorted(mu + nu, reverse=True))
                 out[key] = out.get(key, 0) + a * b
-        res = PowerSumPoly.zero()
-        res.terms = {mu: c for mu, c in out.items() if c}
-        return res
+        return PowerSumPoly._computed(out)
 
     __rmul__ = __mul__
 
@@ -214,6 +214,4 @@ def cut_and_join(poly: PowerSumPoly) -> PowerSumPoly:
                     base.remove(x)
                 key = tuple(sorted(base + [a + b], reverse=True))
                 acc[key] = acc.get(key, 0) + coeff * factor
-    out = PowerSumPoly.zero()
-    out.terms = {k: v for k, v in acc.items() if v}
-    return out
+    return PowerSumPoly._computed(acc)

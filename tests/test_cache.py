@@ -104,7 +104,7 @@ def test_load_repeated_key_with_a_different_value_is_a_conflict(tmp_path):
         '{"g":0,"mu":[3],"num":"1","den":"1"}\n'
         '{"g":0,"mu":[3],"num":"2","den":"1"}\n'
     )
-    with pytest.raises(CacheConflictError, match=r"g=0, mu=\(3,\): 1 != 2"):
+    with pytest.raises(CacheConflictError, match=r"g=0, mu=\(3\): 1 != 2"):
         cache_load(str(path))
 
 
@@ -217,7 +217,7 @@ def _reference_load(path):
             value = Fraction(num, den)
             old = entries.setdefault((g, mu), value)
             if old != value:
-                raise CacheConflictError(f"cache conflict at g={g}, mu={mu}: {old} != {value}")
+                raise CacheConflictError(f"cache conflict at g={g}, mu=({','.join(map(str, mu))}): {old} != {value}")
     return entries
 
 
@@ -360,25 +360,6 @@ def test_recursion_stores_its_values_without_insert(monkeypatch):
     assert cache.twice.get((0, (1,))) == 2 and cache.twice.get((2, (2, 1))) == 728
 
 
-def test_merge_conflict_is_fatal():
-    a = HurwitzCache()
-    a.insert(1, (3,), Fraction(9))
-    b = HurwitzCache()
-    b.insert(1, (3,), Fraction(8))
-    with pytest.raises(CacheConflictError):
-        a.merge(b)
-
-
-def test_merge_of_agreeing_caches():
-    a = HurwitzCache()
-    a.insert(1, (3,), Fraction(9))
-    b = HurwitzCache()
-    b.insert(1, (3,), Fraction(9))
-    b.insert(0, (3,), Fraction(1))
-    a.merge(b)
-    assert len(a) == 2
-
-
 def test_two_caches_saving_one_path_in_turn_keep_both_new_keys(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     start = HurwitzCache(path)
@@ -403,9 +384,26 @@ def test_save_over_a_file_that_disagrees_is_a_conflict_and_keeps_the_file(tmp_pa
     cache.insert(1, (3,), Fraction(9))
     with pytest.raises(CacheConflictError) as info:
         cache.save()
-    assert str(info.value) == "cache conflict at g=1, mu=(3,): 9 != 8"
+    assert str(info.value) == "cache conflict at g=1, mu=(3): 9 != 8"
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["cache.jsonl"]
+
+
+def test_save_reports_a_malformed_line_anywhere_in_the_file_before_a_conflict(tmp_path):
+    # The file is read whole before any of its entries meets this cache.
+    path = tmp_path / "cache.jsonl"
+    disk = b'{"g":0,"mu":[2,1],"num":"5","den":"1"}\n{"g":0,"mu":[1,2],"num":"1","den":"1"}\n'
+    path.write_bytes(disk)
+    cache = HurwitzCache(str(path))
+    cache.insert(0, (2, 1), Fraction(4))
+    with pytest.raises(ValueError) as info:
+        cache.save()
+    assert str(info.value) == f"{path}:2: malformed cache line: not a partition: (1, 2)"
+    path.write_bytes(disk.splitlines(keepends=True)[0])
+    with pytest.raises(CacheConflictError) as info:
+        cache.save()
+    assert str(info.value) == "cache conflict at g=0, mu=(2,1): 4 != 5"
+    assert path.read_bytes() == disk.splitlines(keepends=True)[0]
 
 
 @pytest.mark.parametrize(

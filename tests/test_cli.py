@@ -504,7 +504,7 @@ def test_identity_failure_fails_verify_with_exit_1(capsys, monkeypatch):
     _assert_only_failure(
         out,
         "FAIL identities: 32 checks, 1 failures",
-        "  mismatch g=0 mu=(3,) one-part-genus0: 1 expected 2",
+        "  mismatch g=0 mu=(3) one-part-genus0: 1 expected 2",
     )
 
 
@@ -521,7 +521,7 @@ def test_integrality_failure_fails_verify_with_exit_1(capsys, monkeypatch):
     _assert_only_failure(
         out,
         "FAIL integrality: 5 keys, 1 violations",
-        "  mismatch g=0 mu=(3,) positive-integer: 1",
+        "  mismatch g=0 mu=(3) positive-integer: 1",
     )
 
 
@@ -539,7 +539,7 @@ def test_coefficient_failure_fails_verify_with_exit_1(capsys, monkeypatch):
     _assert_only_failure(
         out,
         "FAIL coefficients: 4 terms, 1 non-integral",
-        "  mismatch g=0 mu=(1, 1) merge-equal: 1/2 h[0,(2)]",
+        "  mismatch g=0 mu=(1,1) merge-equal: 1/2 h[0,(2)]",
     )
 
 
@@ -805,7 +805,7 @@ def test_conflict_with_the_file_at_save_exits_2_and_keeps_the_file(capsys, isola
     code, out, err = run(capsys, "compute", "0", "3")
     assert code == 2
     assert out.startswith("h_{0,(3)} = 1  # method=cj") and out.count("\n") == 1
-    assert err == "error: cache conflict at g=0, mu=(3,): 1 != 2\n"
+    assert err == "error: cache conflict at g=0, mu=(3): 1 != 2\n"
     with open(isolated_cache, encoding="ascii") as fh:
         assert fh.read() == '{"g": 0, "mu": [3], "num": "2", "den": "1"}\n'
     assert os.listdir(os.path.dirname(isolated_cache)) == ["cache.jsonl"]

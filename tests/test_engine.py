@@ -221,7 +221,7 @@ def test_inexact_division_at_a_key_raises():
     # 8h at (0, (2)) is twice * (2 h(0,(1)))^2 = 1 * 3 * 3, not divisible by 4
     cache = engine.HurwitzCache()
     cache.twice[(0, (1,))] = 3  # 2h for h = 3/2, which `insert` refuses by the integrality theorem
-    with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2,\)"):
+    with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2\) is not a multiple of 1/2: 8h = 9"):
         hurwitz_number(0, (2,), cache)
 
 

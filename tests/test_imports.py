@@ -2,8 +2,9 @@
 somewhere in it, no module keeps a memo of its own, the cache has one
 conflict rule and no state but its value map, its path and the ledger's
 split profiles, the integrality theorem guards its one door, each fact
-about a Hurwitz key is written once, in `partitions`, and the API keeps no
-knob that no caller sets."""
+about a Hurwitz key is written once, in `partitions`, every message that
+names a profile prints it through `format_partition`, each container has
+one checked door, and the API keeps no knob that no caller sets."""
 
 import ast
 import inspect
@@ -14,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import hurwitz
-from hurwitz import analysis, oracle
+from hurwitz import analysis, engine, oracle
 from hurwitz.engine import GenSeries, HurwitzCache, hurwitz_number
+from hurwitz.symfunc import PowerSumPoly
 
 MODULES = sorted(p for p in Path(hurwitz.__file__).parent.glob("*.py") if p.name != "__init__.py")
 
@@ -125,35 +127,13 @@ def conflict_raises(source: str) -> int:
     )
 
 
-def merge_callers(source: str) -> list[str]:
-    """Functions other than `merge` itself that call a `merge`."""
-    return [
-        node.name
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.FunctionDef | ast.AsyncFunctionDef)
-        and node.name != "merge"
-        and any(isinstance(call, ast.Call) and _called_name(call) == "merge" for call in ast.walk(node))
-    ]
-
-
-def test_the_cache_has_one_conflict_rule_and_merge_has_a_caller():
-    # Every value that enters a cache from outside the recursion goes through
-    # one conflict check, and `save` merges the file it replaces.
-    engine = next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8")
-    assert conflict_raises(engine) == 1
-    assert [caller for path in MODULES for caller in merge_callers(path.read_text(encoding="utf-8"))] != []
-
-
-def test_the_guard_counts_conflict_raises_and_merge_callers():
+def test_the_guard_counts_conflict_raises():
     source = (
         "class C:\n"
-        "    def merge(self, other):\n        self.merge(other)\n"
         "    def check(self):\n        raise CacheConflictError('a')\n"
         "def load():\n    if x:\n        raise CacheConflictError\n    raise ValueError('b')\n"
-        "def save(c):\n    c.merge(load())\n"
     )
     assert conflict_raises(source) == 2
-    assert merge_callers(source) == ["save"]
 
 
 def places(source: str, match) -> list[str]:
@@ -192,6 +172,17 @@ def test_the_integrality_theorem_is_checked_at_the_cache_door_and_by_its_audit()
     assert calls == [("analysis.py", "integrality_audit"), ("engine.py", "HurwitzCache._store")]
     cli = next(p for p in MODULES if p.name == "cli.py").read_text(encoding="utf-8")
     assert set(callers_of(cli, "cache_load")) == {"_dispatch"}
+
+
+def test_the_cache_has_one_conflict_rule_and_save_stores_the_file_through_it():
+    # Every value that enters a cache from outside the recursion goes through
+    # `_store`'s one conflict check: `insert`'s, each line `cache_load` reads,
+    # and each entry of the file `save` reloads before it replaces it.
+    source = next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8")
+    assert conflict_raises(source) == 1
+    assert callers_of(source, "_store") == ["HurwitzCache.insert", "HurwitzCache.save", "cache_load"]
+    assert callers_of(source, "cache_load") == ["HurwitzCache.save"]
+    assert "merge" not in vars(HurwitzCache)
 
 
 def test_the_cli_loads_and_saves_the_cache_in_one_sequence():
@@ -245,6 +236,42 @@ def test_each_fact_about_a_key_is_written_once(fact, homes):
     assert found == homes
 
 
+def raw_profiles(source: str) -> list[str]:
+    """Where an f-string prints `mu=` followed by a value that is not a
+    `format_partition(...)` call, named as `places` names them."""
+
+    def raw(node: ast.AST) -> bool:
+        if not isinstance(node, ast.JoinedStr):
+            return False
+        parts = node.values
+        return any(
+            isinstance(text, ast.Constant)
+            and re.search(r"\bmu=\(?$", text.value)
+            and isinstance(value, ast.FormattedValue)
+            and _called_name(value.value) != "format_partition"
+            for text, value in zip(parts, parts[1:])
+        )
+
+    return places(source, raw)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_message_prints_a_profile_through_format_partition(path):
+    assert raw_profiles(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_guard_finds_a_profile_printed_raw():
+    source = (
+        "def a(mu):\n    return f'at mu={mu}'\n"
+        "def b(mu):\n    return f'at mu=({format_partition(mu)}) ok'\n"
+        "class C:\n    def c(self, key):\n        raise ValueError(f'g={key[0]}, mu=({key[1]})')\n"
+        "d = f'{mu=}'\n"
+        "def e(lam):\n    return f'lam={lam} emu={lam}'\n"
+        "def f(mu):\n    shown = format_partition(mu)\n    return f'mu=({shown})'\n"
+    )
+    assert raw_profiles(source) == ["a", "C.c", "<module>", "f"]
+
+
 def test_the_guard_finds_each_spelling_of_a_key_fact():
     source = (
         "def r(g, mu):\n    return 2 * g - 2 + len(mu) + sum(mu)\n"
@@ -279,7 +306,14 @@ def test_the_series_keeps_only_the_methods_the_commands_call():
         for name, value in vars(GenSeries).items()
         if callable(value) and (name.startswith("__") or not name.startswith("_"))
     }
-    assert methods == {"__init__", "set", "__getitem__", "log"}
+    assert methods == {"__init__", "__getitem__", "log"}
+    # the builders write `coeffs` directly; a read is the one checked door
+    assert not hasattr(engine, "_series_key")
+
+
+def test_monomial_takes_only_a_profile():
+    # a coefficient is a scalar product: `PowerSumPoly.monomial(mu) * c`
+    assert list(inspect.signature(PowerSumPoly.monomial).parameters) == ["mu"]
 
 
 def test_the_cache_keeps_one_value_map(tmp_path):
@@ -287,12 +321,14 @@ def test_the_cache_keeps_one_value_map(tmp_path):
     # table of split profiles.  No writer sets a flag beside the map: what a
     # run has not saved is read off the map's growth.
     state = {"twice", "path", "_grown"}
-    cache = HurwitzCache(str(tmp_path / "cache.jsonl"))
+    path = str(tmp_path / "cache.jsonl")
+    cache = HurwitzCache(path)
     assert set(vars(cache)) == state
     hurwitz_number(1, (2, 1), cache)
     cache.insert(0, (3,), Fraction(1))
-    other = HurwitzCache()
+    other = HurwitzCache(path)
     other.insert(1, (3,), Fraction(9))
-    cache.merge(other)
-    cache.save()
+    other.save()
+    cache.save()  # stores the entry `other` saved
+    assert (1, (3,)) in cache.twice
     assert set(vars(cache)) == state

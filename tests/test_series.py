@@ -11,31 +11,64 @@ from hurwitz import (
     disconnected_count_charsum,
     partitions_of,
 )
-from hurwitz.engine import _mul_coeffs
+from hurwitz.engine import _mul_coeffs, log_table
+from hurwitz.partitions import as_partition
 
 
-def test_set_get_and_truncation():
-    s = GenSeries(2, 2)
-    s.set(0, 0, (), 1)
-    s.set(2, 1, (1, 1), Fraction(1, 3))
-    s.set(5, 1, (5,), 7)  # beyond d_max: dropped
+def _series(d_max, r_max, entries):
+    """A hand-made series holding the nonzero values of `entries`, {(d, r, mu): value},
+    as the builders write theirs: straight into `coeffs`, zeros dropped."""
+    s = GenSeries(d_max, r_max)
+    s.coeffs.update((key, Fraction(c)) for key, c in entries.items() if c)
+    return s
+
+
+def test_get_reads_zero_off_the_table_and_refuses_a_key_off_the_series():
+    s = _series(2, 2, {(0, 0, ()): 1, (2, 1, (1, 1)): Fraction(1, 3)})
     assert s[(0, 0, ())] == 1
-    assert s[(2, 1, (1, 1))] == Fraction(1, 3)
-    assert s[(5, 1, (5,))] == 0
+    assert s[(2, 1, [1, 1])] == Fraction(1, 3)  # mu is read as a partition
+    assert s[(5, 1, (5,))] == 0  # beyond d_max
     assert s[(1, 0, (1,))] == 0
-    # a key is checked alike on reads and writes: mu must have size d, r >= 0
+    # mu must be a partition of size d, and r >= 0
     for key, message in (
         ((2, 0, (1,)), "key partition (1,) does not have size 2"),
         ((3, 1, (1, 1)), "key partition (1, 1) does not have size 3"),
         ((0, -1, ()), "r must be non-negative"),
+        ((3, 0, (1, 2)), "not a partition: (1, 2)"),
     ):
-        with pytest.raises(ValueError) as info:
-            s.set(*key, 5)
-        assert str(info.value) == message
         with pytest.raises(ValueError) as info:
             s[key]
         assert str(info.value) == message
-    assert s.coeffs == {(0, 0, ()): 1, (2, 1, (1, 1)): Fraction(1, 3)}
+
+
+def _assert_canonical_table(series):
+    """Every entry of a built table is keyed (d, r, mu), with mu a canonical
+    partition of d and (d, r) inside the series' bounds, and holds a nonzero
+    Fraction: what the builders write straight into `coeffs`."""
+    for key, value in series.coeffs.items():
+        d, r, mu = key
+        assert as_partition(mu) == mu and sum(mu) == d, key
+        assert 0 <= d <= series.d_max and 0 <= r <= series.r_max, key
+        assert type(value) is Fraction and value != 0, key
+
+
+@pytest.mark.parametrize("build", [covering_series, covering_series_charsum])
+def test_each_builder_writes_a_canonical_table_with_constant_term_one(build):
+    series = build(9, 8)
+    assert (series.d_max, series.r_max) == (9, 8)
+    _assert_canonical_table(series)
+    one = series.coeffs[(0, 0, ())]
+    assert type(one) is Fraction and one == 1
+    # with no branch point only the identity, of profile (1^d), covers: every
+    # other count at r = 0 is zero and is not stored
+    assert [key for key in series.coeffs if key[1] == 0] == [(d, 0, (1,) * d) for d in range(10)]
+
+
+@pytest.mark.parametrize("method", ["operator", "charsum"])
+def test_each_logged_table_is_canonical(method):
+    table = log_table(9, 8, method)
+    assert table.d_max >= 9 and table.r_max >= 8
+    _assert_canonical_table(table)
 
 
 def test_mul_uses_binomial_weights_in_r():
@@ -56,18 +89,13 @@ def test_covering_series_entries():
 
 
 def test_log_of_one_is_zero():
-    one = GenSeries(3, 3)
-    one.set(0, 0, (), 1)
-    assert one.log().coeffs == {}
+    assert _series(3, 3, {(0, 0, ()): 1}).log().coeffs == {}
 
 
 def test_log_requires_unit_constant_term():
-    s = GenSeries(1, 1)
-    with pytest.raises(ValueError):
-        s.log()
-    s.set(0, 0, (), 2)
-    with pytest.raises(ValueError):
-        s.log()
+    for constant in (0, 2):
+        with pytest.raises(ValueError):
+            _series(1, 1, {(0, 0, ()): constant}).log()
 
 
 def test_log_entry_matches_half_value():
@@ -105,10 +133,7 @@ def test_log_of_pure_divided_power_slice():
     # log(1 + b) where b is the degree-(0,1) variable: the (0, m) entry of the
     # result must be (-1)^(m+1) (m-1)! because b^m = m! times b^m/m!
     r_max = 6
-    series = GenSeries(0, r_max)
-    series.set(0, 0, (), 1)
-    series.set(0, 1, (), 1)
-    log = series.log()
+    log = _divided_power_slice(r_max).log()
     for m in range(1, r_max + 1):
         assert log[(0, m, ())] == Fraction((-1) ** (m + 1) * factorial(m - 1))
 
@@ -116,23 +141,20 @@ def test_log_of_pure_divided_power_slice():
 def test_exp_of_pure_divided_power_slice():
     # exp(b) has every divided-power coefficient equal to one
     r_max = 6
-    series = GenSeries(0, r_max)
-    series.set(0, 1, (), 1)
+    series = _series(0, r_max, {(0, 1, ()): 1})
     assert _exp_by_power_sum(series) == {(0, m, ()): 1 for m in range(r_max + 1)}
 
 
 @st.composite
 def unit_series(draw):
-    s = GenSeries(3, 3)
-    s.set(0, 0, (), 1)
-    coeffs = st.integers(min_value=-2, max_value=2).map(Fraction)
+    coeffs = st.integers(min_value=-2, max_value=2)
+    entries = {(0, 0, ()): 1}
     for d in range(4):
         for mu in partitions_of(d):
             for r in range(4):
-                if (d, r) == (0, 0):
-                    continue
-                s.set(d, r, mu, draw(coeffs))
-    return s
+                if (d, r) != (0, 0):
+                    entries[(d, r, mu)] = draw(coeffs)
+    return _series(3, 3, entries)
 
 
 @given(unit_series())
@@ -164,10 +186,8 @@ def _assert_log_matches_definition(series):
 
 
 def _divided_power_slice(r_max):
-    series = GenSeries(0, r_max)
-    series.set(0, 0, (), 1)
-    series.set(0, 1, (), 1)
-    return series
+    """1 + b, for b the degree-(0, 1) variable."""
+    return _series(0, r_max, {(0, 0, ()): 1, (0, 1, ()): 1})
 
 
 @pytest.mark.parametrize(
