@@ -32,7 +32,7 @@ from .partitions import (
     key_order,
     partitions_of,
 )
-from .symfunc import CharMemo, PowerSumPoly, _character, cut_and_join
+from .symfunc import CharMemo, PowerSumPoly, _character, bead_mask, cut_and_join
 
 SeriesKey = tuple[int, int, Partition]
 
@@ -62,7 +62,7 @@ class GenSeries:
         d, r, mu = key
         mu = as_partition(mu)
         if sum(mu) != d:
-            raise ValueError(f"key partition {mu} does not have size {d}")
+            raise ValueError(f"key partition ({format_partition(mu)}) does not have size {d}")
         if r < 0:
             raise ValueError("r must be non-negative")
         return self.coeffs.get((d, r, mu), Fraction(0))
@@ -127,27 +127,29 @@ def disconnected_count_charsum(d: int, r: int, mu: Iterable[int]) -> Fraction:
     Sum over lam of d of (dim lam / d!) (content_sum lam)^r chi^lam_mu / z_mu.
     """
     mu = cover_args(d, r, mu)
-    return _charsum_counts(_irreps(d), mu, (r,), {})[0]
+    return _charsum_counts(_irreps(d, d), mu, (r,), {})[0]
 
 
-def _irreps(d: int) -> list[tuple[Partition, int, int]]:
-    """(lam, dim lam, content_sum lam) for every partition lam of d."""
-    return [(lam, dim_irrep(lam), content_sum(lam)) for lam in partitions_of(d)]
+def _irreps(d: int, beads: int) -> list[tuple[int, int, int]]:
+    """(bead mask of lam on `beads` >= d rows, dim lam, content_sum lam) for
+    every partition lam of d."""
+    return [(bead_mask(lam, beads), dim_irrep(lam), content_sum(lam)) for lam in partitions_of(d)]
 
 
 def _charsum_counts(
-    irreps: list[tuple[Partition, int, int]], mu: Partition, rs: Iterable[int], memo: CharMemo
+    irreps: list[tuple[int, int, int]], mu: Partition, rs: Iterable[int], memo: CharMemo
 ) -> list[Fraction]:
     """The character sum at mu for each r in rs.
 
-    The characters at mu are looked up once; each r then costs one integer
-    sum of dim lam * chi^lam_mu * (content_sum lam)^r over d! z_mu.  Each
-    lam comes from `partitions_of` and mu is canonical, of the same size, so
-    the characters skip `character`'s argument checks.
+    The characters at mu are read off the irreps' bead masks once, by
+    `_character`, which skips `character`'s argument checks: each mask
+    comes from a partition of `partitions_of` and mu is canonical, of the
+    same size.  Each r then costs one integer sum of dim lam * chi^lam_mu *
+    (content_sum lam)^r over d! z_mu.
     """
     weights = []
-    for lam, dim, c in irreps:
-        chi = _character(lam, mu, memo)
+    for mask, dim, c in irreps:
+        chi = _character(mask, mu, memo)
         if chi:
             weights.append((c, dim * chi))
     den = factorial(sum(mu)) * centralizer_order(mu)
@@ -167,13 +169,17 @@ def covering_series(d_max: int, r_max: int) -> GenSeries:
 
 
 def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
-    """Generating series of disconnected counts, built by character sums; one
-    character memo serves every d, as the border strips reach smaller sizes."""
+    """Generating series of disconnected counts, built by character sums.
+
+    Every shape gets d_max beads, so the strips removed at degree d reach
+    the same masks as the shapes of smaller degrees, and one character memo
+    serves every d.
+    """
     out = GenSeries(d_max, r_max)
     out.coeffs[(0, 0, ())] = Fraction(1)
     memo: CharMemo = {}
     for d in range(1, d_max + 1):
-        irreps = _irreps(d)
+        irreps = _irreps(d, d_max)
         for mu in partitions_of(d):
             for r, value in enumerate(_charsum_counts(irreps, mu, range(r_max + 1), memo)):
                 if value:

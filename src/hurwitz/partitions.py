@@ -30,7 +30,7 @@ def cover_args(d: int, r: int, mu: Iterable[int]) -> Partition:
     """
     mu = as_partition(mu)
     if sum(mu) != d or d < 1:
-        raise ValueError(f"{mu} is not a partition of {d} >= 1")
+        raise ValueError(f"({format_partition(mu)}) is not a partition of {d} >= 1")
     if r < 0:
         raise ValueError("r must be non-negative")
     return mu

@@ -15,6 +15,7 @@ from .partitions import (
     Partition,
     as_partition,
     centralizer_order,
+    format_partition,
     partitions_of,
 )
 
@@ -110,53 +111,53 @@ class PowerSumPoly:
 # ---------------------------------------------------------------------------
 # characters
 
-CharMemo = dict[tuple[Partition, Partition], int]  # (lam, mu) -> value, owned by one build
+CharMemo = dict[tuple[int, Partition], int]  # (bead mask, mu suffix) -> value, owned by one build
 
 
-def _strip_removals(lam: Partition, size: int):
-    """Yield (sign, remainder) for every removable border strip of the given size.
-
-    Uses the first-column hook coordinates of lam: removing a border strip of
-    length t corresponds to lowering one coordinate by t without colliding
-    with another, and the sign is (-1)^(rows spanned minus one), i.e. the
-    number of coordinates jumped over.
-    """
-    rows = len(lam)
-    beta = [lam[i] + (rows - 1 - i) for i in range(rows)]
-    occupied = set(beta)
-    for b in beta:
-        c = b - size
-        if c < 0 or c in occupied:
-            continue
-        height = sum(1 for x in beta if c < x < b)
-        new_beta = sorted([x for x in beta if x != b] + [c], reverse=True)
-        parts = tuple(
-            v - (rows - 1 - i) for i, v in enumerate(new_beta) if v - (rows - 1 - i) > 0
-        )
-        yield (-1) ** height, parts
+def bead_mask(lam: Partition, beads: int) -> int:
+    """The abacus of lam on `beads` >= len(lam) rows: bit lam_i + beads - 1 - i
+    for each row i, a row past lam's length having lam_i = 0."""
+    empty = beads - len(lam)
+    return sum(1 << (part + beads - 1 - i) for i, part in enumerate(lam)) | ((1 << empty) - 1)
 
 
 def character(lam: Partition, mu: Partition) -> int:
     """Irreducible symmetric group character value at cycle type mu.
 
-    Computed by recursive border-strip removal: peel a strip of length mu_1
-    in all possible ways, recurse on the remainder, and weight each branch by
-    the strip sign; the memo of (lam, mu) values lasts for this one call.
+    Computed by the bead form of Murnaghan-Nakayama on lam's abacus (see
+    `_character`); the memo of its values lasts for this one call.
     """
     lam, mu = as_partition(lam), as_partition(mu)
     if sum(lam) != sum(mu):
-        raise ValueError(f"size mismatch: |{lam}| != |{mu}|")
-    return _character(lam, mu, {})
+        raise ValueError(f"size mismatch: |({format_partition(lam)})| != |({format_partition(mu)})|")
+    return _character(bead_mask(lam, len(lam)), mu, {})
 
 
-def _character(lam: Partition, mu: Partition, memo: CharMemo) -> int:
+def _character(mask: int, mu: Partition, memo: CharMemo) -> int:
+    """Murnaghan-Nakayama on a bead mask: chi at cycle type mu of the shape
+    whose abacus is `mask`, a shape of size |mu|.
+
+    Removing a border strip of length t = mu_1 moves a bead from b down to a
+    free b - t, with sign (-1)^(beads strictly between); the number of beads
+    stays, so every shape the recursion reaches has a mask of the same count.
+    """
     if not mu:
         return 1
-    key = (lam, mu)
+    key = (mask, mu)
     hit = memo.get(key)
     if hit is not None:
         return hit
-    val = sum(sign * _character(rest, mu[1:], memo) for sign, rest in _strip_removals(lam, mu[0]))
+    t, rest = mu[0], mu[1:]
+    # the free places c whose bead c + t can move down to them
+    targets = (mask >> t) & ~mask
+    val = 0
+    while targets:
+        low = targets & -targets
+        targets ^= low
+        bead = low << t
+        chi = _character(mask ^ bead ^ low, rest, memo)
+        # bead - 2 low sets the places strictly between c and c + t
+        val += -chi if (mask & (bead - (low << 1))).bit_count() & 1 else chi
     memo[key] = val
     return val
 
@@ -164,9 +165,9 @@ def _character(lam: Partition, mu: Partition, memo: CharMemo) -> int:
 def schur_in_power_sums(lam: Partition) -> PowerSumPoly:
     """Schur function expanded in the power-sum basis: sum over mu of chi/z_mu p_mu."""
     lam = as_partition(lam)
-    terms, memo = {}, {}
+    terms, memo, mask = {}, {}, bead_mask(lam, len(lam))
     for mu in partitions_of(sum(lam)):
-        chi = _character(lam, mu, memo)
+        chi = _character(mask, mu, memo)
         if chi:
             terms[mu] = Fraction(chi, centralizer_order(mu))
     return PowerSumPoly(terms)

@@ -62,8 +62,9 @@ def test_charsum_series_leaves_argument_checks_to_the_public_character(monkeypat
     assert calls == 0
     assert symfunc.character((2, 1), (3,)) == -1
     assert calls == 2
-    with pytest.raises(ValueError, match="size mismatch"):
+    with pytest.raises(ValueError) as info:
         symfunc.character((2, 1), (2,))
+    assert str(info.value) == "size mismatch: |(2,1)| != |(2)|"
 
 
 def _count_calls(monkeypatch, module, name):
@@ -88,7 +89,8 @@ def test_each_operator_series_build_applies_cut_and_join_itself(monkeypatch):
 
 
 def test_each_charsum_series_build_computes_its_characters_itself(monkeypatch):
-    calls = _count_calls(monkeypatch, symfunc, "_strip_removals")
+    # the bead recursion calls itself through the module, so its calls are counted
+    calls = _count_calls(monkeypatch, symfunc, "_character")
     counts = []
     for _ in range(2):
         calls.clear()
@@ -104,14 +106,17 @@ def test_disconnected_operator_examples():
     assert table[(3, 2, (3,))] == 1
 
 
-@pytest.mark.parametrize("d, r, mu", [(0, 0, ()), (3, 1, (2,))])
-def test_the_three_cover_counts_refuse_the_same_arguments(d, r, mu):
+@pytest.mark.parametrize(
+    "d, r, mu, message",
+    [(0, 0, (), "() is not a partition of 0 >= 1"), (3, 1, (2,), "(2) is not a partition of 3 >= 1")],
+)
+def test_the_three_cover_counts_refuse_the_same_arguments(d, r, mu, message):
     messages = set()
     for count in (disconnected_count_charsum, count_covers_bruteforce):
         with pytest.raises(ValueError) as info:
             count(d, r, mu)
         messages.add(str(info.value))
-    assert messages == {f"{mu} is not a partition of {d} >= 1"}
+    assert messages == {message}
 
 
 @pytest.mark.parametrize("g, mu", [(True, (2,)), (1.0, (2,)), (0, [True, True, True]), (0, (2, True))])

@@ -1,7 +1,8 @@
 """Source guards over the package's modules: every name a module imports is read
 somewhere in it, no module keeps a memo of its own, the cache has one
 conflict rule and no state but its value map, its path and the ledger's
-split profiles, the integrality theorem guards its one door, each fact
+split profiles, the characters come from one Murnaghan-Nakayama recursion
+on bead masks, the integrality theorem guards its one door, each fact
 about a Hurwitz key is written once, in `partitions`, every message that
 names a profile prints it through `format_partition`, each container has
 one checked door, and the API keeps no knob that no caller sets."""
@@ -116,6 +117,94 @@ def test_the_guard_finds_a_module_memo():
         "def local():\n    memo = {}\n    return memo\n"
     )
     assert module_memos(source) == ["a", "b", "c", "d", "e", "f", "g", "h", "i"]
+
+
+def recursions(source: str) -> list[str]:
+    """Functions that call themselves by name: `Class.method`, `function`, or
+    `outer.inner` when nested."""
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef | ast.AsyncFunctionDef):
+                calls = (n for n in ast.walk(child) if isinstance(n, ast.Call))
+                if any(_called_name(call) == child.name for call in calls):
+                    found.append(prefix + child.name)
+            if isinstance(child, ast.ClassDef | ast.FunctionDef | ast.AsyncFunctionDef):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def _function(source: str, name: str) -> ast.FunctionDef:
+    return next(n for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def module_calls(source: str, name: str) -> set[str]:
+    """The module-level functions of `source` that its function `name` calls."""
+    defined = {n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef)}
+    return {_called_name(n) for n in ast.walk(_function(source, name)) if isinstance(n, ast.Call)} & defined
+
+
+SEQUENCE_CALLS = {"list", "set", "sorted", "tuple"}
+SEQUENCE_NODES = (ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def sequences_built(source: str, name: str) -> list[str]:
+    """The lists, sets, comprehensions and sorted or converted sequences that
+    the module-level function `name` builds, by node or callee name."""
+    found = []
+    for node in ast.walk(_function(source, name)):
+        if isinstance(node, SEQUENCE_NODES):
+            found.append(type(node).__name__)
+        elif isinstance(node, ast.Call) and _called_name(node) in SEQUENCE_CALLS:
+            found.append(_called_name(node))
+    return found
+
+
+def generators(source: str) -> list[str]:
+    """Module-level functions that yield."""
+    return [
+        n.name
+        for n in ast.parse(source).body
+        if isinstance(n, ast.FunctionDef) and any(isinstance(x, ast.Yield | ast.YieldFrom) for x in ast.walk(n))
+    ]
+
+
+def test_src_holds_one_murnaghan_nakayama_recursion():
+    # The characters are one recursion on bead masks: a border strip is two
+    # bit flips and a popcount, with no strip helper and no beta list, set or
+    # sorted tuple per strip; `engine` reaches characters only through it.
+    found = [(path.name, name) for path in MODULES for name in recursions(path.read_text(encoding="utf-8"))]
+    assert found == [("partitions.py", "partitions_of.build"), ("symfunc.py", "_character")]
+    symfunc = next(p for p in MODULES if p.name == "symfunc.py").read_text(encoding="utf-8")
+    assert module_calls(symfunc, "_character") == {"_character"}
+    assert sequences_built(symfunc, "_character") == []
+    assert generators(symfunc) == []
+    engine_source = next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8")
+    assert callers_of(engine_source, "_character") == ["_charsum_counts"]
+    assert callers_of(engine_source, "bead_mask") == ["_irreps"]
+    assert callers_of(engine_source, "character") == callers_of(engine_source, "schur_in_power_sums") == []
+
+
+def test_the_guard_finds_a_beta_list_character():
+    source = (
+        "def _strip_removals(lam, size):\n"
+        "    beta = [lam[i] + len(lam) - 1 - i for i in range(len(lam))]\n"
+        "    occupied = set(beta)\n"
+        "    for b in beta:\n        yield 1, tuple(sorted(beta))\n"
+        "def _character(lam, mu, memo):\n"
+        "    return sum(s * _character(r, mu[1:], memo) for s, r in _strip_removals(lam, mu[0]))\n"
+        "class C:\n    def walk(self):\n        def inner():\n            return inner()\n        return self.walk()\n"
+    )
+    assert recursions(source) == ["_character", "C.walk", "C.walk.inner"]
+    assert module_calls(source, "_character") == {"_character", "_strip_removals"}
+    assert sequences_built(source, "_character") == ["GeneratorExp"]
+    assert sequences_built(source, "_strip_removals") == ["ListComp", "set", "tuple", "sorted"]
+    assert generators(source) == ["_strip_removals"]
 
 
 def conflict_raises(source: str) -> int:
@@ -236,15 +325,28 @@ def test_each_fact_about_a_key_is_written_once(fact, homes):
     assert found == homes
 
 
+PROFILE_NAMES = {"mu", "lam"}
+
+
 def raw_profiles(source: str) -> list[str]:
-    """Where an f-string prints `mu=` followed by a value that is not a
-    `format_partition(...)` call, named as `places` names them."""
+    """Where an f-string prints a profile raw, named as `places` names them:
+    `mu=` followed by a value that is not a `format_partition(...)` call, or a
+    bare `{mu}` or `{lam}`, with no conversion or format spec."""
+
+    def bare(value: ast.AST) -> bool:
+        return (
+            isinstance(value, ast.FormattedValue)
+            and value.conversion == -1
+            and value.format_spec is None
+            and isinstance(value.value, ast.Name)
+            and value.value.id in PROFILE_NAMES
+        )
 
     def raw(node: ast.AST) -> bool:
         if not isinstance(node, ast.JoinedStr):
             return False
         parts = node.values
-        return any(
+        return any(map(bare, parts)) or any(
             isinstance(text, ast.Constant)
             and re.search(r"\bmu=\(?$", text.value)
             and isinstance(value, ast.FormattedValue)
@@ -266,10 +368,12 @@ def test_the_guard_finds_a_profile_printed_raw():
         "def b(mu):\n    return f'at mu=({format_partition(mu)}) ok'\n"
         "class C:\n    def c(self, key):\n        raise ValueError(f'g={key[0]}, mu=({key[1]})')\n"
         "d = f'{mu=}'\n"
-        "def e(lam):\n    return f'lam={lam} emu={lam}'\n"
+        "def e(lam):\n    return f'lam={lam!r} emu={lam!r}'\n"
         "def f(mu):\n    shown = format_partition(mu)\n    return f'mu=({shown})'\n"
+        "def g(lam, mu):\n    return f'|{lam}| != |{mu}|'\n"
+        "def h(lam, mu, nu):\n    return f'{lam!r} {mu:>8} {nu} {len(mu)}'\n"
     )
-    assert raw_profiles(source) == ["a", "C.c", "<module>", "f"]
+    assert raw_profiles(source) == ["a", "C.c", "<module>", "f", "g"]
 
 
 def test_the_guard_finds_each_spelling_of_a_key_fact():

@@ -207,7 +207,7 @@ def test_cover_args():
     assert cover_args(1, 5, (1,)) == (1,)
     for d, r, mu, message in [
         (0, 0, (), "() is not a partition of 0 >= 1"),
-        (3, 1, (2,), "(2,) is not a partition of 3 >= 1"),
+        (3, 1, (2,), "(2) is not a partition of 3 >= 1"),
         (2, -1, (2,), "r must be non-negative"),
     ]:
         with pytest.raises(ValueError) as info:

@@ -31,8 +31,8 @@ def test_get_reads_zero_off_the_table_and_refuses_a_key_off_the_series():
     assert s[(1, 0, (1,))] == 0
     # mu must be a partition of size d, and r >= 0
     for key, message in (
-        ((2, 0, (1,)), "key partition (1,) does not have size 2"),
-        ((3, 1, (1, 1)), "key partition (1, 1) does not have size 3"),
+        ((2, 0, (1,)), "key partition (1) does not have size 2"),
+        ((3, 1, (1, 1)), "key partition (1,1) does not have size 3"),
         ((0, -1, ()), "r must be non-negative"),
         ((3, 0, (1, 2)), "not a partition: (1, 2)"),
     ):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,9 @@ from hurwitz import (
     partitions_of,
     schur_in_power_sums,
 )
+from hurwitz.engine import covering_series_charsum
 from hurwitz.oracle import cycle_type
+from hurwitz.symfunc import _character, bead_mask
 
 P = PowerSumPoly
 
@@ -189,3 +192,77 @@ def test_characters_memo_is_consistent_on_recomputation():
     again = character((4, 2, 1), (3, 2, 2))
     assert first == again
     assert isinstance(first, int)
+
+
+# The beta-list form of Murnaghan-Nakayama that the bead recursion replaced,
+# kept as the reference it is checked against.
+
+def _strip_removals(lam, size):
+    """Yield (sign, remainder) for every removable border strip of the given size.
+
+    Uses the first-column hook coordinates of lam: removing a border strip of
+    length t lowers one coordinate by t without colliding with another, and
+    the sign is (-1)^(the number of coordinates jumped over).
+    """
+    rows = len(lam)
+    beta = [lam[i] + (rows - 1 - i) for i in range(rows)]
+    occupied = set(beta)
+    for b in beta:
+        c = b - size
+        if c < 0 or c in occupied:
+            continue
+        height = sum(1 for x in beta if c < x < b)
+        new_beta = sorted([x for x in beta if x != b] + [c], reverse=True)
+        parts = tuple(v - (rows - 1 - i) for i, v in enumerate(new_beta) if v - (rows - 1 - i) > 0)
+        yield (-1) ** height, parts
+
+
+def _reference_character(lam, mu, memo):
+    if not mu:
+        return 1
+    key = (lam, mu)
+    if key not in memo:
+        memo[key] = sum(
+            sign * _reference_character(rest, mu[1:], memo) for sign, rest in _strip_removals(lam, mu[0])
+        )
+    return memo[key]
+
+
+def _reference_charsum_table(d_max, r_max):
+    """The character-sum table of disconnected counts, with reference characters."""
+    memo = {}
+    coeffs = {(0, 0, ()): Fraction(1)}
+    for d in range(1, d_max + 1):
+        shapes = [(lam, dim_irrep(lam), content_sum(lam)) for lam in partitions_of(d)]
+        for mu in partitions_of(d):
+            den = factorial(d) * centralizer_order(mu)
+            weights = [(c, dim * _reference_character(lam, mu, memo)) for lam, dim, c in shapes]
+            for r in range(r_max + 1):
+                value = Fraction(sum(w * c**r for c, w in weights), den)
+                if value:
+                    coeffs[(d, r, mu)] = value
+    return coeffs
+
+
+def test_character_equals_the_beta_list_reference():
+    # on lam's own rows, as `character` places it, and on n rows, as a table
+    # build of degree n places every shape
+    for n in range(11):
+        reference, spare = {}, {}
+        for lam in partitions_of(n):
+            for mu in partitions_of(n):
+                expected = _reference_character(lam, mu, reference)
+                assert character(lam, mu) == expected, (lam, mu)
+                assert _character(bead_mask(lam, n), mu, spare) == expected, (lam, mu)
+
+
+def test_bead_mask_places_one_bead_per_row():
+    assert bead_mask((), 0) == 0
+    assert bead_mask((), 3) == 0b111
+    assert bead_mask((2, 1), 2) == 0b1010  # beads at 2 + 1 and 1 + 0
+    assert bead_mask((2, 1), 4) == 0b101011  # two spare rows at 1 and 0
+
+
+def test_charsum_series_equals_the_table_of_reference_characters():
+    # the table `verify --rmax 10` logs
+    assert covering_series_charsum(11, 10).coeffs == _reference_charsum_table(11, 10)
