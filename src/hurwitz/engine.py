@@ -127,7 +127,7 @@ def disconnected_count_charsum(d: int, r: int, mu: Iterable[int]) -> Fraction:
     Sum over lam of d of (dim lam / d!) (content_sum lam)^r chi^lam_mu / z_mu.
     """
     mu = cover_args(d, r, mu)
-    return _charsum_counts(_irreps(d, d), mu, (r,), {})[0]
+    return _charsum_counts(_irreps(d, d), mu, r, {})[r]
 
 
 def _irreps(d: int, beads: int) -> list[tuple[int, int, int]]:
@@ -137,34 +137,41 @@ def _irreps(d: int, beads: int) -> list[tuple[int, int, int]]:
 
 
 def _charsum_counts(
-    irreps: list[tuple[int, int, int]], mu: Partition, rs: Iterable[int], memo: CharMemo
+    irreps: list[tuple[int, int, int]], mu: Partition, r_max: int, memo: CharMemo
 ) -> list[Fraction]:
-    """The character sum at mu for each r in rs.
+    """The character sum at mu for each r from 0 to r_max, row r at index r.
 
     The characters at mu are read off the irreps' bead masks once, by
     `_character`, which skips `character`'s argument checks: each mask
     comes from a partition of `partitions_of` and mu is canonical, of the
-    same size.  Each r then costs one integer sum of dim lam * chi^lam_mu *
-    (content_sum lam)^r over d! z_mu.
+    same size.  Each row is one integer sum of the terms dim lam *
+    chi^lam_mu * (content_sum lam)^r over d! z_mu, and each term goes from
+    one row to the next by one multiplication by content_sum lam.
     """
-    weights = []
+    contents, terms = [], []
     for mask, dim, c in irreps:
         chi = _character(mask, mu, memo)
         if chi:
-            weights.append((c, dim * chi))
+            contents.append(c)
+            terms.append(dim * chi)
     den = factorial(sum(mu)) * centralizer_order(mu)
-    return [Fraction(sum(w * c**r for c, w in weights), den) for r in rs]
+    rows = [Fraction(sum(terms), den)]
+    for _ in range(r_max):
+        terms = [t * c for t, c in zip(terms, contents)]
+        rows.append(Fraction(sum(terms), den))
+    return rows
 
 
 def covering_series(d_max: int, r_max: int) -> GenSeries:
     """Generating series of disconnected counts, built by operator powers:
-    each cut-and-join power of p_1^d is taken from the one before."""
+    each cut-and-join power of p_1^d is taken from the one before, in
+    integers, and each entry is divided by d! once, as it is stored."""
     out = GenSeries(d_max, r_max)
     for d in range(d_max + 1):
-        inv = Fraction(1, factorial(d))
+        d_fact = factorial(d)
         for r in range(r_max + 1):
             poly = cut_and_join(poly) if r else PowerSumPoly.monomial((1,) * d)
-            out.coeffs.update(((d, r, mu), c * inv) for mu, c in poly.terms.items())
+            out.coeffs.update(((d, r, mu), Fraction(c, d_fact)) for mu, c in poly.terms.items())
     return out
 
 
@@ -181,7 +188,7 @@ def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
     for d in range(1, d_max + 1):
         irreps = _irreps(d, d_max)
         for mu in partitions_of(d):
-            for r, value in enumerate(_charsum_counts(irreps, mu, range(r_max + 1), memo)):
+            for r, value in enumerate(_charsum_counts(irreps, mu, r_max, memo)):
                 if value:
                     out.coeffs[(d, r, mu)] = value
     return out

@@ -1,8 +1,9 @@
 """Power-sum polynomial arithmetic, symmetric group characters, Schur expansions,
 and the cut-and-join differential operator.
 
-Everything here is exact: coefficients are ``fractions.Fraction`` and character
-values are plain integers.
+Everything here is exact: a coefficient is an ``int`` or a ``fractions.Fraction``,
+kept as given, and character values are plain integers.  Integral polynomials
+stay in ``int``s, so operator powers of p_1^d run on integers.
 """
 
 from __future__ import annotations
@@ -26,18 +27,20 @@ class PowerSumPoly:
     """Sparse polynomial in the power sums p_1, p_2, ...
 
     Terms are stored as a map from canonical partitions mu to the exact
-    coefficient of p_mu = prod_i p_{mu_i}; zero coefficients are never stored,
-    so equality of term maps is equality of polynomials.  Mixed-degree
-    polynomials are allowed.
+    coefficient of p_mu = prod_i p_{mu_i}, an `int` or a `Fraction` as given:
+    the door refuses any other type (a `float`, a string, a `bool`) rather
+    than round it.  Zero coefficients are never stored, so equality of term
+    maps is equality of polynomials.  Mixed-degree polynomials are allowed.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Partition, Scalar] | None = None):
-        clean: dict[Partition, Fraction] = {}
+        clean: dict[Partition, Scalar] = {}
         if terms:
             for mu, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int and type(c) is not Fraction:
+                    raise ValueError(f"coefficient {c!r} is not an int or a Fraction")
                 if c:
                     clean[as_partition(mu)] = c
         self.terms = clean
@@ -48,22 +51,22 @@ class PowerSumPoly:
 
     @classmethod
     def one(cls) -> "PowerSumPoly":
-        return cls({(): Fraction(1)})
+        return cls({(): 1})
 
     @classmethod
     def p(cls, n: int) -> "PowerSumPoly":
         """The single power sum p_n."""
         if n < 1:
             raise ValueError("power sum index must be positive")
-        return cls({(n,): Fraction(1)})
+        return cls({(n,): 1})
 
     @classmethod
     def monomial(cls, mu: Iterable[int]) -> "PowerSumPoly":
         """The single product p_mu, for a multi-index mu."""
-        return cls({tuple(sorted(mu, reverse=True)): Fraction(1)})
+        return cls({tuple(sorted(mu, reverse=True)): 1})
 
     @classmethod
-    def _computed(cls, terms: dict[Partition, Fraction]) -> "PowerSumPoly":
+    def _computed(cls, terms: dict[Partition, Scalar]) -> "PowerSumPoly":
         """A result built here, keyed by canonical partitions already: only
         its zero terms are dropped, and `__init__`'s checks are skipped."""
         res = cls()
@@ -84,7 +87,7 @@ class PowerSumPoly:
     def __mul__(self, other: "PowerSumPoly | Scalar") -> "PowerSumPoly":
         if isinstance(other, (int, Fraction)):
             return PowerSumPoly._computed({mu: other * v for mu, v in self.terms.items()})
-        out: dict[Partition, Fraction] = {}
+        out: dict[Partition, Scalar] = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
                 key = tuple(sorted(mu + nu, reverse=True))

@@ -8,7 +8,8 @@ from hurwitz import (
     partitions_of,
     ramification,
 )
-from hurwitz.analysis import verification_reports
+import hurwitz.analysis
+from hurwitz.analysis import coefficient_sweep, verification_reports
 from hurwitz.engine import _ledger
 from hurwitz.partitions import key_order
 from hurwitz.reference_data import PUBLISHED_CONVERSE_FAILURES
@@ -123,6 +124,63 @@ def test_coefficient_audit_all_integral_up_to_r8():
         for rec in rep.records:
             if rec.label != "generator-key":
                 assert "/" not in rec.value
+
+
+def _poison_ledger(monkeypatch, key, poison):
+    """Make the audits read `poison(terms)` for the ledger at `key`; the
+    recursion keeps reading the real ledger."""
+    real = hurwitz.analysis._ledger
+
+    def poisoned(g, lam, grown=None):
+        terms = real(g, lam, grown)
+        return poison(terms) if (g, lam) == key else terms
+
+    monkeypatch.setattr(hurwitz.analysis, "_ledger", poisoned)
+
+
+def test_an_odd_central_binomial_fails_the_audit_and_the_sweep(monkeypatch):
+    def odd_first_central_binomial(terms):
+        i = next(i for i, term in enumerate(terms) if term[0] == "split-symmetric")
+        label, twice, children, binomial = terms[i]
+        assert twice % 2 == 0 and binomial % 2 == 0
+        # the coefficient stays an even twice: only the evenness rule can fail it
+        return terms[:i] + [(label, twice, children, binomial + 1)] + terms[i + 1:]
+
+    _poison_ledger(monkeypatch, (2, (4,)), odd_first_central_binomial)
+    audit = coefficient_audit(2, (4,))
+    failing = [rec for rec in audit.records if not rec.passed]
+    assert len(failing) == 1 and audit.failures == 1
+    assert failing[0].label == "split-symmetric"
+    assert failing[0].detail.endswith("central-binomial=21")  # C(6, 3) + 1
+    sweep = coefficient_sweep(7)  # (2, (4)) has branch count 7
+    assert sweep.records == failing
+    assert sweep.summary.endswith(", 1 non-integral")
+
+
+def test_the_sweep_counts_the_per_key_audit_records():
+    per_key = sum(len(coefficient_audit(g, mu).records) for g, mu in keys_with_ramification_at_most(10))
+    assert per_key == 1056
+    sweep = coefficient_sweep(10)
+    assert sweep.ok and sweep.records == []
+    assert sweep.summary == "1056 terms, 0 non-integral"
+
+
+def test_the_sweep_keeps_the_per_key_failing_records_in_order(monkeypatch):
+    def odd_last_twice(terms):
+        label, twice, children, binomial = terms[-1]
+        return terms[:-1] + [(label, twice + 1, children, binomial)]
+
+    _poison_ledger(monkeypatch, (1, (3, 2, 1)), odd_last_twice)
+    expected = [
+        rec
+        for g, mu in keys_with_ramification_at_most(10)
+        for rec in coefficient_audit(g, mu).records
+        if not rec.passed
+    ]
+    assert len(expected) == 1
+    sweep = coefficient_sweep(10)
+    assert sweep.records == expected
+    assert sweep.summary == "1056 terms, 1 non-integral"
 
 
 def test_parity_scan_r8(shared_cache):

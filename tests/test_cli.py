@@ -543,6 +543,26 @@ def test_coefficient_failure_fails_verify_with_exit_1(capsys, monkeypatch):
     )
 
 
+def test_odd_central_binomial_fails_verify_with_exit_1(capsys, monkeypatch):
+    # no key of branch count <= 2 has a symmetric split, so the audits read
+    # one at (0, (1,1)): an even twice-coefficient with an odd central binomial
+    real = hurwitz.analysis._ledger
+
+    def corrupted(g, lam, grown=None):
+        if (g, lam) == (0, (1, 1)):
+            return [("split-symmetric", 2, ((0, (1,)), (0, (1,))), 1)]
+        return real(g, lam, grown)
+
+    monkeypatch.setattr(hurwitz.analysis, "_ledger", corrupted)
+    code, out, _ = run(capsys, "verify", "--rmax", "2")
+    assert code == 1
+    _assert_only_failure(
+        out,
+        "FAIL coefficients: 4 terms, 1 non-integral",
+        "  mismatch g=0 mu=(1,1) split-symmetric: 1 h[0,(1)] * h[0,(1)] central-binomial=1",
+    )
+
+
 def test_verify_with_oracle_indexes_each_symmetric_group_once(capsys, monkeypatch):
     real = hurwitz.oracle.permutations
     degrees = []

@@ -16,7 +16,7 @@ from hurwitz import (
     partitions_of,
     schur_in_power_sums,
 )
-from hurwitz.engine import covering_series_charsum
+from hurwitz.engine import covering_series_charsum, disconnected_count_charsum
 from hurwitz.oracle import cycle_type
 from hurwitz.symfunc import _character, bead_mask
 
@@ -53,6 +53,26 @@ def test_poly_ring_laws(a, b, c):
     assert a * b == b * a
     assert (a + b) * c == a * c + b * c
     assert (a * b) * c == a * (b * c)
+
+
+def test_poly_door_keeps_ints_and_fractions_and_refuses_other_coefficients():
+    poly = P({(1,): 3, (2,): Fraction(1, 2), (1, 1): Fraction(4), (3,): 0})
+    assert poly.terms == {(1,): 3, (2,): Fraction(1, 2), (1, 1): 4}
+    assert [type(c) for c in poly.terms.values()] == [int, Fraction, Fraction]
+    for factory in (P.one(), P.p(2), P.monomial((1, 2))):
+        assert [type(c) for c in factory.terms.values()] == [int]
+    for bad in (0.1, 1.0, "1/3", True, False, None, 1j):
+        with pytest.raises(ValueError) as info:
+            P({(1,): bad})
+        assert str(info.value) == f"coefficient {bad!r} is not an int or a Fraction"
+
+
+def test_operator_powers_of_an_integral_monomial_stay_in_ints():
+    for d in range(9):
+        poly = P.monomial((1,) * d)
+        for r in range(7):
+            assert all(type(c) is int for c in poly.terms.values()), (d, r)
+            poly = cut_and_join(poly)
 
 
 def brute_character_table(n):
@@ -228,17 +248,24 @@ def _reference_character(lam, mu, memo):
     return memo[key]
 
 
+def _reference_counts(d, mu, rs, memo):
+    """The disconnected counts at (d, r, mu) for each r in rs, as character
+    sums with reference characters, each content sum raised to the r-th
+    power afresh."""
+    den = factorial(d) * centralizer_order(mu)
+    weights = [
+        (content_sum(lam), dim_irrep(lam) * _reference_character(lam, mu, memo)) for lam in partitions_of(d)
+    ]
+    return [Fraction(sum(w * c**r for c, w in weights), den) for r in rs]
+
+
 def _reference_charsum_table(d_max, r_max):
     """The character-sum table of disconnected counts, with reference characters."""
     memo = {}
     coeffs = {(0, 0, ()): Fraction(1)}
     for d in range(1, d_max + 1):
-        shapes = [(lam, dim_irrep(lam), content_sum(lam)) for lam in partitions_of(d)]
         for mu in partitions_of(d):
-            den = factorial(d) * centralizer_order(mu)
-            weights = [(c, dim * _reference_character(lam, mu, memo)) for lam, dim, c in shapes]
-            for r in range(r_max + 1):
-                value = Fraction(sum(w * c**r for c, w in weights), den)
+            for r, value in enumerate(_reference_counts(d, mu, range(r_max + 1), memo)):
                 if value:
                     coeffs[(d, r, mu)] = value
     return coeffs
@@ -266,3 +293,11 @@ def test_bead_mask_places_one_bead_per_row():
 def test_charsum_series_equals_the_table_of_reference_characters():
     # the table `verify --rmax 10` logs
     assert covering_series_charsum(11, 10).coeffs == _reference_charsum_table(11, 10)
+
+
+def test_single_count_reads_its_row_of_the_character_sum():
+    memo = {}
+    for d in range(1, 8):
+        for mu in partitions_of(d):
+            rows = [disconnected_count_charsum(d, r, mu) for r in (0, 40)]
+            assert rows == _reference_counts(d, mu, (0, 40), memo), (d, mu)
