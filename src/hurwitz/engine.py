@@ -102,19 +102,14 @@ def _mul_coeffs(
     r_max: int,
 ) -> dict[SeriesKey, Fraction]:
     """Divided-power product of coefficient maps, truncated to the bounds."""
-    by_d: dict[int, list[tuple[SeriesKey, Fraction]]] = {}
-    for key, c in b.items():
-        by_d.setdefault(key[0], []).append((key, c))
     out: dict[SeriesKey, Fraction] = {}
     for (d1, r1, mu1), c1 in a.items():
-        for d2 in range(d_max - d1 + 1):
-            for (key2, c2) in by_d.get(d2, ()):
-                _, r2, mu2 = key2
-                r = r1 + r2
-                if r > r_max:
-                    continue
-                key = (d1 + d2, r, tuple(sorted(mu1 + mu2, reverse=True)))
-                out[key] = out.get(key, 0) + comb(r, r1) * c1 * c2
+        for (d2, r2, mu2), c2 in b.items():
+            d, r = d1 + d2, r1 + r2
+            if d > d_max or r > r_max:
+                continue
+            key = (d, r, tuple(sorted(mu1 + mu2, reverse=True)))
+            out[key] = out.get(key, 0) + comb(r, r1) * c1 * c2
     return {key: c for key, c in out.items() if c}
 
 

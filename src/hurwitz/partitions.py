@@ -83,35 +83,24 @@ def partitions_of(n: int, max_len: int | None = None) -> list[Partition]:
     Only partitions with at most max_len parts are listed, when that bound is
     given.  The order is the canonical enumeration order throughout the
     package so that derived artifacts (caches, reports, tables) are
-    byte-stable.
+    byte-stable.  A plain recursion extends one prefix at a time and prunes
+    a branch whose parts left cannot reach the remainder; nothing is memoized.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     length = n if max_len is None else max_len
-    if length < 0:
-        return []
-    # (rem, largest part allowed, parts left) -> its partitions; shared by
-    # every prefix that leaves the same remainder under the same bounds.
-    memo: dict[tuple[int, int, int], list[Partition]] = {}
+    out: list[Partition] = []
 
-    def build(rem: int, largest: int, slots: int) -> list[Partition]:
+    def build(prefix: Partition, rem: int, largest: int, slots: int) -> None:
         if rem == 0:
-            return [()]
-        key = (rem, min(rem, largest), min(rem, slots))
-        out = memo.get(key)
-        if out is None:
-            _, largest, slots = key
-            out = []
-            if largest * slots >= rem:  # else the allowed parts cannot reach rem
-                out = [
-                    (first, *rest)
-                    for first in range(largest, 0, -1)
-                    for rest in build(rem - first, first, slots - 1)
-                ]
-            memo[key] = out
-        return out
+            out.append(prefix)
+        elif largest * slots >= rem:  # else the allowed parts cannot reach rem
+            for first in range(min(largest, rem), 0, -1):
+                build((*prefix, first), rem - first, first, slots - 1)
 
-    return build(n, n, length)
+    if length >= 0:
+        build((), n, n, length)
+    return out
 
 
 def centralizer_order(lam: Sequence[int]) -> int:

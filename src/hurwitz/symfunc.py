@@ -29,8 +29,11 @@ class PowerSumPoly:
     Terms are stored as a map from canonical partitions mu to the exact
     coefficient of p_mu = prod_i p_{mu_i}, an `int` or a `Fraction` as given:
     the door refuses any other type (a `float`, a string, a `bool`) rather
-    than round it.  Zero coefficients are never stored, so equality of term
-    maps is equality of polynomials.  Mixed-degree polynomials are allowed.
+    than round it.  The operators check by the same rule: `+` takes a
+    polynomial, `*` a polynomial or such a scalar on its right, and `**` an
+    exact `int` n >= 0.  Zero coefficients are never stored, so equality of
+    term maps is equality of polynomials.  Mixed-degree polynomials are
+    allowed.
     """
 
     __slots__ = ("terms",)
@@ -79,14 +82,18 @@ class PowerSumPoly:
         return self.terms == other.terms
 
     def __add__(self, other: "PowerSumPoly") -> "PowerSumPoly":
+        if not isinstance(other, PowerSumPoly):
+            raise ValueError(f"summand {other!r} is not a PowerSumPoly")
         out = dict(self.terms)
         for mu, c in other.terms.items():
             out[mu] = out.get(mu, 0) + c
         return PowerSumPoly._computed(out)
 
     def __mul__(self, other: "PowerSumPoly | Scalar") -> "PowerSumPoly":
-        if isinstance(other, (int, Fraction)):
+        if type(other) is int or type(other) is Fraction:
             return PowerSumPoly._computed({mu: other * v for mu, v in self.terms.items()})
+        if not isinstance(other, PowerSumPoly):
+            raise ValueError(f"factor {other!r} is not a PowerSumPoly, an int or a Fraction")
         out: dict[Partition, Scalar] = {}
         for mu, a in self.terms.items():
             for nu, b in other.terms.items():
@@ -94,9 +101,9 @@ class PowerSumPoly:
                 out[key] = out.get(key, 0) + a * b
         return PowerSumPoly._computed(out)
 
-    __rmul__ = __mul__
-
     def __pow__(self, n: int) -> "PowerSumPoly":
+        if type(n) is not int:
+            raise ValueError(f"exponent {n!r} is not an int")
         if n < 0:
             raise ValueError("negative power")
         res = PowerSumPoly.one()

@@ -9,7 +9,9 @@ from hurwitz import (
     ramification,
 )
 import hurwitz.analysis
+import hurwitz.reference_data
 from hurwitz.analysis import coefficient_sweep, verification_reports
+from hurwitz.cli import main
 from hurwitz.engine import _ledger
 from hurwitz.partitions import key_order
 from hurwitz.reference_data import PUBLISHED_CONVERSE_FAILURES
@@ -195,6 +197,20 @@ def test_parity_scan_r10(shared_cache):
     assert converse_failures(rep) == set(PUBLISHED_CONVERSE_FAILURES[8]) | set(
         PUBLISHED_CONVERSE_FAILURES[10]
     )
+
+
+def test_parity_scan_fails_on_a_published_list_it_does_not_match(shared_cache, monkeypatch, tmp_path, capsys):
+    published = dict(PUBLISHED_CONVERSE_FAILURES)
+    published[8] = published[8] - {(1, (7,))}
+    monkeypatch.setattr(hurwitz.reference_data, "PUBLISHED_CONVERSE_FAILURES", published)
+    failing = [rec for rec in parity_scan(10, shared_cache).records if not rec.passed]
+    assert [rec.label for rec in failing] == ["published-list-r8"]
+    line = (
+        "  FAIL published-list-r8 value=3 pairs  expected [(1, (3, 3)), (1, (5, 1))], "
+        "got [(1, (3, 3)), (1, (5, 1)), (1, (7,))]"
+    )
+    assert main(["parity", "--rmax", "10", "--cache", str(tmp_path / "cache.txt")]) == 1
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_parity_scan_r2_has_no_converse_failures(shared_cache):

@@ -228,6 +228,11 @@ def test_inexact_division_at_a_key_raises():
     cache.twice[(0, (1,))] = 3  # 2h for h = 3/2, which `insert` refuses by the integrality theorem
     with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2\) is not a multiple of 1/2: 8h = 9"):
         hurwitz_number(0, (2,), cache)
+    # 8h at (0, (4)) is 6 * 1 * 3 + 8 * 1 * 1 = 26: even, yet not divisible by 4
+    cache = engine.HurwitzCache()
+    cache.twice.update({(0, (1,)): 1, (0, (2,)): 1, (0, (3,)): 3})
+    with pytest.raises(ArithmeticError, match=r"g=0, mu=\(4\) is not a multiple of 1/2: 8h = 26"):
+        hurwitz_number(0, (4,), cache)
 
 
 def _reference_ledger(g, lam):

@@ -67,6 +67,28 @@ def test_poly_door_keeps_ints_and_fractions_and_refuses_other_coefficients():
         assert str(info.value) == f"coefficient {bad!r} is not an int or a Fraction"
 
 
+def test_poly_operators_check_operands_by_the_door_rule():
+    p1 = P.p(1)
+    assert p1 * 2 == P({(1,): 2}) and p1 * Fraction(1, 2) == P({(1,): Fraction(1, 2)})
+    assert p1 + p1 == p1 * 2 and p1 ** 0 == P.one() and p1 ** 2 == p1 * p1
+    for bad in (0.5, 1.0, "2", None, True, False, 1j):
+        with pytest.raises(ValueError) as info:
+            p1 * bad
+        assert str(info.value) == f"factor {bad!r} is not a PowerSumPoly, an int or a Fraction"
+    for bad in (1, 0, Fraction(1, 2), 0.5, "2", None, True):
+        with pytest.raises(ValueError) as info:
+            p1 + bad
+        assert str(info.value) == f"summand {bad!r} is not a PowerSumPoly"
+    for bad in (True, False, 2.0, Fraction(2), "2", None):
+        with pytest.raises(ValueError) as info:
+            p1 ** bad
+        assert str(info.value) == f"exponent {bad!r} is not an int"
+    # a scalar multiplies on the right only: there is no reflected product
+    for scalar in (2, Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            scalar * p1
+
+
 def test_operator_powers_of_an_integral_monomial_stay_in_ints():
     for d in range(9):
         poly = P.monomial((1,) * d)
