@@ -46,7 +46,8 @@ class GenSeries:
     (`covering_series`, `covering_series_charsum`, `log`), straight into
     `coeffs`: canonical keys within the bounds, nonzero `Fraction` values.
     The one checked door is the read, which refuses a key whose mu does not
-    have size d or whose r is negative.
+    have size d, whose r is negative or whose (d, r) lies past the bounds:
+    a table is never grown, so it holds no count past them to read.
     """
 
     __slots__ = ("d_max", "r_max", "coeffs")
@@ -65,6 +66,8 @@ class GenSeries:
             raise ValueError(f"key partition ({format_partition(mu)}) does not have size {d}")
         if r < 0:
             raise ValueError("r must be non-negative")
+        if d > self.d_max or r > self.r_max:
+            raise ValueError(f"key (d={d}, r={r}) is past the series bounds d <= {self.d_max}, r <= {self.r_max}")
         return self.coeffs.get((d, r, mu), Fraction(0))
 
     def log(self) -> "GenSeries":
@@ -189,10 +192,6 @@ def covering_series_charsum(d_max: int, r_max: int) -> GenSeries:
     return out
 
 
-# Grow-on-demand store of logged covering series, one per construction route: the
-# one process-long memo, as `connected_from_log` is asked per key with no table passed.
-_log_tables: dict[str, GenSeries] = {}
-
 _SERIES_BUILDERS = {
     "operator": covering_series,
     "charsum": covering_series_charsum,
@@ -200,31 +199,24 @@ _SERIES_BUILDERS = {
 
 
 def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
-    """Logarithm of the covering series built by `method`, at least to the bounds.
+    """Logarithm of the covering series built by `method`, to the bounds.
 
-    A table is rebuilt, at the larger bounds, only when a request exceeds
-    it; a caller that knows its largest key builds the table once up front.
+    Nothing is kept: a caller that reads many keys builds the table once
+    and reads each key from it.
     """
     builder = _SERIES_BUILDERS.get(method)
     if builder is None:
         expected = " or ".join(map(repr, _SERIES_BUILDERS))
         raise ValueError(f"unknown series method {method!r}; expected {expected}")
-    cur = _log_tables.get(method)
-    if cur is not None and cur.d_max >= d_max and cur.r_max >= r_max:
-        return cur
-    nd = max(d_max, cur.d_max if cur else 0)
-    nr = max(r_max, cur.r_max if cur else 0)
-    table = builder(nd, nr).log()
-    _log_tables[method] = table
-    return table
+    return builder(d_max, r_max).log()
 
 
 def connected_from_log(g: int, mu: Iterable[int], method: str = "operator") -> Fraction:
-    """Connected Hurwitz number read off the logarithm of the covering series."""
+    """Connected Hurwitz number read off the logarithm of the covering
+    series, built for this one key."""
     g, mu = hurwitz_key(g, mu)
-    r = branch_count(g, mu)
-    table = log_table(sum(mu), r, method)
-    return table[(sum(mu), r, mu)]
+    d, r = sum(mu), branch_count(g, mu)
+    return log_table(d, r, method)[(d, r, mu)]
 
 
 # ---------------------------------------------------------------------------

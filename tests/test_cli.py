@@ -462,16 +462,22 @@ def test_every_argv_ends_in_one_of_three_statuses(capsys, monkeypatch, argv):
 def test_verify_failure_exits_1(capsys, monkeypatch):
     import hurwitz.engine
 
-    real = hurwitz.engine.connected_from_log
+    real = hurwitz.engine.log_table
 
-    def corrupted(g, mu, method="operator"):
-        value = real(g, mu, method=method)
-        return value + 1 if (g, mu) == (0, (3,)) else value
+    def corrupted(d_max, r_max, method):
+        table = real(d_max, r_max, method)
+        if method == "operator":
+            table.coeffs[(3, 2, (3,))] += 1  # h_{0,(3)} = 1 has branch count 2
+        return table
 
-    monkeypatch.setattr(hurwitz.engine, "connected_from_log", corrupted)
+    monkeypatch.setattr(hurwitz.engine, "log_table", corrupted)
     code, out, _ = run(capsys, "verify", "--rmax", "2")
     assert code == 1
-    assert "FAIL cross-method" in out
+    _assert_only_failure(
+        out,
+        "FAIL cross-method: 5 keys (recursion vs charsum/operator logs)",
+        "  mismatch g=0 mu=(3) operator: 2 != 1",
+    )
 
 
 def test_oracle_mismatch_fails_verify_with_exit_1(capsys, monkeypatch):
@@ -589,12 +595,48 @@ def test_verify_builds_each_series_once(capsys, monkeypatch, tmp_path):
 
         return wrapper
 
-    monkeypatch.setattr(hurwitz.engine, "_log_tables", {})
     for method, builder in list(hurwitz.engine._SERIES_BUILDERS.items()):
         monkeypatch.setitem(hurwitz.engine._SERIES_BUILDERS, method, counted(method, builder))
     code, out, _ = run(capsys, "verify", "--rmax", "6", "--cache", str(tmp_path / "v.jsonl"))
     assert code == 0 and "FAIL" not in out
     assert calls == {"operator": [(7, 6)], "charsum": [(7, 6)]}
+
+
+_STATE_AFTER_TWO_RUNS = """
+import sys
+from contextlib import redirect_stdout
+from io import StringIO
+
+from hurwitz.cli import main
+
+
+def snapshot():
+    return {
+        (name, attr): (id(value), len(value) if isinstance(value, (dict, list, set)) else None)
+        for name, module in list(sys.modules.items())
+        if name == "hurwitz" or name.startswith("hurwitz.")
+        for attr, value in vars(module).items()
+    }
+
+
+before = snapshot()
+with redirect_stdout(StringIO()):
+    codes = [main(["verify", "--rmax", "2"]), main(["compute", "0", "3", "--method", "charsum"])]
+after = snapshot()
+print(codes, sorted(key for key in before.keys() | after.keys() if before.get(key) != after.get(key)))
+"""
+
+
+def test_cli_runs_leave_no_module_state_behind():
+    # A fresh interpreter, so no earlier test has filled a global before the
+    # first snapshot: a global the runs bind anew, or a container they grow,
+    # is named.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hurwitz.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", _STATE_AFTER_TWO_RUNS], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0] []\n"
 
 
 @pytest.mark.parametrize("argv", [("compute", "1", "3"), ("cache", "stats")])

@@ -376,28 +376,6 @@ def test_unknown_series_method_is_a_value_error(call):
         call()
 
 
-def test_log_table_grows_to_cover_every_request(monkeypatch):
-    monkeypatch.setattr(engine, "_log_tables", {})
-    engine.log_table(4, 6, "charsum")
-    table = engine.log_table(6, 4, "charsum")
-    assert (table.d_max, table.r_max) == (6, 6)
-    assert table.coeffs == engine.covering_series_charsum(6, 6).log().coeffs
-    assert engine._log_tables["charsum"] is table
-
-
-def test_log_table_within_its_bounds_builds_nothing(monkeypatch):
-    monkeypatch.setattr(engine, "_log_tables", {})
-    table = engine.log_table(5, 5, "operator")
-
-    def refuse(d_max, r_max):
-        raise AssertionError(f"rebuilt at ({d_max}, {r_max})")
-
-    monkeypatch.setitem(engine._SERIES_BUILDERS, "operator", refuse)
-    assert engine.log_table(5, 5, "operator") is table
-    assert engine.log_table(3, 5, "operator") is table
-    assert engine.log_table(5, 0, "operator") is table
-
-
 def test_cross_method_equality_small(shared_cache):
     for n in range(1, 6):
         for mu in partitions_of(n):

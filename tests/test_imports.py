@@ -46,10 +46,8 @@ def test_the_guard_finds_an_unused_import():
     assert unused_imports(source) == ["os", "comb"]
 
 
-# The logged covering series are asked for one key at a time by
-# `connected_from_log`, whose callers have no build to own the table, so
-# `engine._log_tables` is the one memo kept for the life of the process.
-ALLOWED_MEMOS = {("engine.py", "_log_tables")}
+# No module keeps a memo: each is owned by the build that fills it.
+ALLOWED_MEMOS: set[tuple[str, str]] = set()
 MEMO_DECORATORS = {"lru_cache", "cache"}
 EMPTY_CONTAINERS = {"dict", "list", "set"}
 

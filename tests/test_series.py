@@ -27,18 +27,28 @@ def test_get_reads_zero_off_the_table_and_refuses_a_key_off_the_series():
     s = _series(2, 2, {(0, 0, ()): 1, (2, 1, (1, 1)): Fraction(1, 3)})
     assert s[(0, 0, ())] == 1
     assert s[(2, 1, [1, 1])] == Fraction(1, 3)  # mu is read as a partition
-    assert s[(5, 1, (5,))] == 0  # beyond d_max
     assert s[(1, 0, (1,))] == 0
-    # mu must be a partition of size d, and r >= 0
+    assert s[(2, 2, (2,))] == 0  # a zero inside the bounds
+    # mu must be a partition of size d, r >= 0, and (d, r) within the bounds
     for key, message in (
         ((2, 0, (1,)), "key partition (1) does not have size 2"),
         ((3, 1, (1, 1)), "key partition (1,1) does not have size 3"),
         ((0, -1, ()), "r must be non-negative"),
         ((3, 0, (1, 2)), "not a partition: (1, 2)"),
+        ((5, 1, (5,)), "key (d=5, r=1) is past the series bounds d <= 2, r <= 2"),
+        ((2, 3, (2,)), "key (d=2, r=3) is past the series bounds d <= 2, r <= 2"),
     ):
         with pytest.raises(ValueError) as info:
             s[key]
         assert str(info.value) == message
+
+
+def test_a_built_table_refuses_a_count_past_its_bounds():
+    # the identity is the one cover of degree 3 with no branch point, and
+    # its weight is 1/3!: a table built to d <= 2 holds no such count
+    assert covering_series(3, 0)[(3, 0, (1, 1, 1))] == Fraction(1, 6)
+    with pytest.raises(ValueError, match=r"^key \(d=3, r=0\) is past the series bounds d <= 2, r <= 2$"):
+        covering_series(2, 2)[(3, 0, (1, 1, 1))]
 
 
 def _assert_canonical_table(series):
