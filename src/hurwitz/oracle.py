@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
 
-from .partitions import Partition, conj_class_size, cover_args
+from .partitions import Partition, cover_args
 
 Perm = tuple[int, ...]
 # d -> (lmul, types): lmul[t][i] is the index of transposition t times
@@ -83,17 +83,18 @@ def count_covers_bruteforce(
     built and stored after the refusal check, so a refused call indexes
     nothing and adds no entry; without a dict, a fresh indexing is made.
 
-    Refuses (rather than truncates) when class size times C(d,2)^r, plus the
-    group-indexing cost d! (C(d,2) + 1), exceeds `WORK_BOUND`.  That is an
-    upper bound on the search, kept as the refusal rule so that the same
-    inputs are refused as by a search from every s in the class.  It counts
-    the indexing on every call, whether or not `groups` already holds S_d.
-    The refusal names the bound, d, r and len(mu): the size and the parts
-    can each print as hundreds of thousands of characters.
+    Refuses (rather than truncates) when the search's steps exceed
+    `WORK_BOUND`: the C(d,2)^r tuples it enumerates, the r levels it walks
+    (all of its work when d <= 2) and the cost d! (C(d,2) + 1) of indexing
+    S_d, counted even when `groups` holds S_d; mu plays no part.  Lower bounds
+    2^(d-1) <= d!, 2^(r (bits(C(d,2)) - 1)) <= C(d,2)^r (d >= 2) and r refuse
+    first, so no number past the bound is built.  The refusal names the bound,
+    d, r and len(mu), not the parts, which can run to hundreds of kilobytes.
     """
     mu = cover_args(d, r, mu)
-    work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
-    if work > WORK_BOUND:
+    n_trans, bits = comb(d, 2), WORK_BOUND.bit_length()  # 2^n > WORK_BOUND iff n >= bits
+    if (d - 1 >= bits or r * (n_trans.bit_length() - 1) >= bits or r > WORK_BOUND
+            or n_trans**r + r + factorial(d) * (n_trans + 1) > WORK_BOUND):
         raise WorkBoundExceeded(
             f"search size exceeds work bound {WORK_BOUND} for d={d}, r={r}, len(mu)={len(mu)}"
         )
@@ -113,7 +114,6 @@ def count_covers_bruteforce(
     lmul, types = groups[d]
     hit = [ct == mu for ct in types]
 
-    n_trans = len(lmul)
     k = 0
     while k < r and n_trans ** (k + 1) <= _BLOCK:
         k += 1

@@ -32,6 +32,8 @@ from hurwitz import (
     two_part_genus0,
 )
 from hurwitz.cli import table_values
+from hurwitz.engine import log_table
+from hurwitz.partitions import branch_count
 from hurwitz.reference_data import (
     ERRATA,
     PRINTED_TABLE_SIX,
@@ -94,10 +96,18 @@ def test_criterion_2_table_six(shared_cache):
 def test_criterion_3_cross_method(shared_cache):
     keys = keys_with_ramification_at_most(10)
     assert keys
+    # One table per route holds every key with r <= 10, as `verify` reads them.
+    tables = [log_table(11, 10, method) for method in ("operator", "charsum")]
     for g, mu in keys:
         h = hurwitz_number(g, mu, shared_cache)
-        assert connected_from_log(g, mu, method="operator") == h, (g, mu)
-        assert connected_from_log(g, mu, method="charsum") == h, (g, mu)
+        r = branch_count(g, mu)
+        for table in tables:
+            assert table[(sum(mu), r, mu)] == h, (g, mu)
+        # The single-key door builds a table for its own key: every key up to
+        # r = 6, and beyond that the genus-0 one-part key, the largest at its r.
+        if r <= 6 or (g, mu) == (0, (r + 1,)):
+            assert connected_from_log(g, mu, method="operator") == h, (g, mu)
+            assert connected_from_log(g, mu, method="charsum") == h, (g, mu)
 
 
 @criterion(4, "brute force agrees with character sums and the recursion for d <= 5, r <= 6", budget=600)

@@ -106,7 +106,7 @@ def test_compute_usage_errors(capsys):
 
 
 def test_oracle_refusal_of_a_huge_search_is_one_short_line(capsys):
-    # The search size, 2 * 3^2000002 + 24, has 954,244 digits; the message leaves it out.
+    # The search size, 3^2000002 + 2000026, has 954,244 digits; the message leaves it out.
     code, out, err = run(capsys, "compute", "1000000", "3", "--method", "oracle")
     assert code == 2 and out == ""
     assert err == "refused: search size exceeds work bound 100000000 for d=3, r=2000002, len(mu)=1\n"
@@ -960,19 +960,24 @@ def test_values_beyond_4300_digits_load_and_save(isolated_cache, no_int_digit_li
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, start",
     [
-        ("compute", "0", "2^99999999999999999999"),  # a part count past a list's size
-        ("compute", "0", "99999999999999999999", "--method", "oracle"),  # a factorial's argument
+        (("compute", "0", "2^99999999999999999999"), "error: the input is too large: "),  # a list's size
+        # Each oracle search is refused before its size is built.
+        (("compute", "0", "1000000", "--method", "oracle"), "refused: "),  # d! and C(d,2)^r
+        (("compute", "100000000", "3", "--method", "oracle"), "refused: "),  # 3^r and r
+        (("compute", "50000000", "2", "--method", "oracle"), "refused: "),  # r levels, one tuple
+        (("compute", "50000000", "1", "--method", "oracle"), "refused: "),  # r levels, no tuple
+        (("compute", "0", "99999999999999999999", "--method", "oracle"), "refused: "),  # d past a machine integer
     ],
 )
-def test_input_too_large_for_a_machine_integer_exits_2(isolated_cache, argv):
+def test_a_huge_input_exits_2_and_leaves_the_cache_alone(isolated_cache, argv, start):
     _write_cache(isolated_cache, [(0, [2], 1, 2)])
     with open(isolated_cache, "rb") as fh:
         before = fh.read()
     proc = _run_cli(*argv)
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: the input is too large: ")
+    assert proc.stderr.startswith(start)
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
     with open(isolated_cache, "rb") as fh:
         assert fh.read() == before

@@ -56,12 +56,6 @@ def test_rejects_bad_input():
         count_covers_bruteforce(2, -1, (2,))
 
 
-def test_work_bound_refusal(monkeypatch):
-    monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
-    with pytest.raises(WorkBoundExceeded):
-        count_covers_bruteforce(6, 9, (6,))
-
-
 class _Indexed(Exception):
     """Raised in place of indexing S_d: the call got past its refusal check."""
 
@@ -73,12 +67,13 @@ def test_refusal_rule_and_message(monkeypatch):
     monkeypatch.setattr(hurwitz.oracle, "permutations", no_indexing)
     with pytest.raises(WorkBoundExceeded):  # at the default bound
         count_covers_bruteforce(12, 0, (1,) * 12)
-    for bound in (10**3, 10**5):
+    # At 10, the r levels alone decide ten (d, r) pairs with d <= 2.
+    for bound in (10, 10**3, 10**5):
         monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", bound)
         for d in range(1, 9):
             for mu in partitions_of(d):
                 for r in range(13):
-                    work = conj_class_size(mu) * comb(d, 2) ** r + factorial(d) * (comb(d, 2) + 1)
+                    work = comb(d, 2) ** r + r + factorial(d) * (comb(d, 2) + 1)
                     if work > bound:
                         with pytest.raises(WorkBoundExceeded) as exc:
                             count_covers_bruteforce(d, r, mu)
@@ -94,9 +89,36 @@ def test_refusal_rule_and_message(monkeypatch):
     assert str(exc.value) == "search size exceeds work bound 1000000 for d=6, r=9, len(mu)=1"
 
 
+class _Built(Exception):
+    """Raised in place of d!: the call got past the lower bounds to the exact sum."""
+
+
+def test_a_refusal_by_a_lower_bound_builds_no_term(monkeypatch):
+    def no_factorial(n):
+        raise _Built
+
+    monkeypatch.setattr(hurwitz.oracle, "factorial", no_factorial)
+    # At the default bound (27 bits) each (d, r) passes one lower bound alone:
+    # 2^(d-1) <= d!, 2^(r (bits(C(d,2)) - 1)) <= C(d,2)^r, or r <= steps.
+    for d, r in [(28, 0), (10**6, 0), (3, 27), (27, 27), (2, 10**8 + 1), (1, 10**8 + 1)]:
+        with pytest.raises(WorkBoundExceeded):
+            count_covers_bruteforce(d, r, (d,))
+    # 10! (C(10,2) + 1) > 10^8 passes none of them: the exact sum refuses it.
+    with pytest.raises(_Built):
+        count_covers_bruteforce(10, 0, (10,))
+
+
+def test_a_search_the_class_size_no_longer_refuses_runs(monkeypatch, shared_cache):
+    # 6^4 = 1,296 tuples, 4 levels and 4! (6 + 1) = 168 indexing steps: 1,468.
+    # The class size 8 of (3, 1) is no factor: 8 x 1,296 + 168 would pass 10^4.
+    monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**4)
+    assert count_covers_bruteforce(4, 4, (3, 1)) == disconnected_count_charsum(4, 4, (3, 1))
+    assert count_covers_bruteforce(4, 4, (3, 1), connected=True) == hurwitz_number(0, (3, 1), shared_cache)
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")
 def test_refusal_of_a_size_past_the_default_int_digit_limit():
-    # The search size has 18,328 digits, past the 4,300 that str() of
+    # The search size has 12,596 digits, past the 4,300 that str() of
     # an int converts by default, so the message must not print it.
     old = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
