@@ -35,14 +35,12 @@ from .oracle import WorkBoundExceeded, count_covers_bruteforce
 from .partitions import (
     Partition,
     centralizer_order,
-    conj_class_size,
     conjugate,
     content_sum,
     dim_irrep,
     hook_product,
     hurwitz_key,
     partitions_of,
-    ramification,
     sort_to_partition,
 )
 from .symfunc import (

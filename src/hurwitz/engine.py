@@ -211,9 +211,9 @@ def log_table(d_max: int, r_max: int, method: str) -> GenSeries:
     return builder(d_max, r_max).log()
 
 
-def connected_from_log(g: int, mu: Iterable[int], method: str = "operator") -> Fraction:
+def connected_from_log(g: int, mu: Iterable[int], method: str) -> Fraction:
     """Connected Hurwitz number read off the logarithm of the covering
-    series, built for this one key."""
+    series built by `method` for this one key."""
     g, mu = hurwitz_key(g, mu)
     d, r = sum(mu), branch_count(g, mu)
     return log_table(d, r, method)[(d, r, mu)]
@@ -244,12 +244,11 @@ class HurwitzCache:
 
     `twice` holds twice the value at each key, an int: the integrality
     theorem, checked at the one door `_store`, admits only multiples of 1/2.
-    A key, once inserted, is never overwritten with a different value;
+    A key, once stored, is never overwritten with a different value;
     disagreement is a hard error.  The persistence format is line-delimited
     JSON, sorted so saves are byte-for-byte reproducible.  A cache takes no
     lock: threads may share it for `hurwitz_number`, which stores the same
-    value for a key in every thread, but `insert` and `save` need it to
-    themselves.
+    value for a key in every thread, but `save` needs it to itself.
     """
 
     def __init__(self, path: str | None = None):
@@ -259,19 +258,11 @@ class HurwitzCache:
         # threads sharing the cache store equal profiles for a key.
         self._grown: dict[tuple[Partition, int], Partition] = {}
 
-    def insert(self, g: int, mu: Partition, value: Fraction) -> None:
-        """Store a value at the canonical key `hurwitz_key(g, mu)`.
-
-        A key that `hurwitz_key` refuses or a value the integrality theorem rules
-        out raises ValueError, so the cache never holds an entry `cache_load` refuses.
-        """
-        self._store(hurwitz_key(g, mu), Fraction(value))
-
     def _store(self, key: tuple[int, Partition], value: Fraction) -> None:
         """Store a value at a key `hurwitz_key` has made canonical.  The one
-        rule for values from outside the recursion (`insert`, `cache_load`
-        and `save`'s reload): a value the integrality theorem rules out
-        raises ValueError, a key held with another value CacheConflictError."""
+        rule for values from outside the recursion (each line of `cache_load`,
+        on a load or on `save`'s reload): a value the integrality theorem rules
+        out raises ValueError, a key held with another value CacheConflictError."""
         g, mu = key
         if not integrality_check(g, mu, value)[1]:
             raise ValueError(
@@ -332,7 +323,7 @@ class HurwitzCache:
 def cache_load(path: str) -> HurwitzCache:
     """Load a cache file; a missing file yields an empty cache with that path.
 
-    Each line is checked once and stored by `insert`'s rule, so a key that
+    Each line is checked once and stored through `_store`, so a key that
     repeats with a different value raises CacheConflictError.  A line must be
     ASCII; the profile must be a JSON array that passes `hurwitz_key` and is
     already in descending order, and `num` and `den` strings equal to
@@ -539,7 +530,7 @@ def hurwitz_number(g: int, mu: Iterable[int], cache: HurwitzCache | None = None)
             )
         # Only a key missing on its first visit gets here, so this store
         # overwrites no value but an equal one another thread computed:
-        # `insert`'s conflict check would find nothing.
+        # `_store`'s conflict check would find nothing.
         twice_h[key] = eight_h // 4
     return Fraction(twice_h[(g, lam)], 2)
 

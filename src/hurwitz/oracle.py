@@ -84,17 +84,19 @@ def count_covers_bruteforce(
     nothing and adds no entry; without a dict, a fresh indexing is made.
 
     Refuses (rather than truncates) when the search's steps exceed
-    `WORK_BOUND`: the C(d,2)^r tuples it enumerates, the r levels it walks
-    (all of its work when d <= 2) and the cost d! (C(d,2) + 1) of indexing
-    S_d, counted even when `groups` holds S_d; mu plays no part.  Lower bounds
-    2^(d-1) <= d!, 2^(r (bits(C(d,2)) - 1)) <= C(d,2)^r (d >= 2) and r refuse
-    first, so no number past the bound is built.  The refusal names the bound,
-    d, r and len(mu), not the parts, which can run to hundreds of kilobytes.
+    `WORK_BOUND`: the C(d,2)^r tuples it enumerates, times 1 + r for a
+    connected count (the transitivity test walks a hit's r transpositions),
+    the r levels it walks (all of its work when d <= 2) and the cost
+    d! (C(d,2) + 1) of indexing S_d, counted even when `groups` holds S_d;
+    mu plays no part.  Lower bounds 2^(d-1) <= d!,
+    2^(r (bits(C(d,2)) - 1)) <= C(d,2)^r (d >= 2) and r refuse first, so no
+    number past the bound is built.  The refusal names the bound, d, r and
+    len(mu), not the parts, which can run to hundreds of kilobytes.
     """
     mu = cover_args(d, r, mu)
     n_trans, bits = comb(d, 2), WORK_BOUND.bit_length()  # 2^n > WORK_BOUND iff n >= bits
     if (d - 1 >= bits or r * (n_trans.bit_length() - 1) >= bits or r > WORK_BOUND
-            or n_trans**r + r + factorial(d) * (n_trans + 1) > WORK_BOUND):
+            or n_trans**r * (1 + r * connected) + r + factorial(d) * (n_trans + 1) > WORK_BOUND):
         raise WorkBoundExceeded(
             f"search size exceeds work bound {WORK_BOUND} for d={d}, r={r}, len(mu)={len(mu)}"
         )

@@ -139,22 +139,9 @@ def dim_irrep(lam: Partition) -> int:
     return num // den
 
 
-def conj_class_size(mu: Partition) -> int:
-    """Number of permutations of cycle type mu in the symmetric group on |mu| points."""
-    mu = as_partition(mu)
-    num, den = factorial(sum(mu)), centralizer_order(mu)
-    assert num % den == 0
-    return num // den
-
-
 def content_sum(lam: Partition) -> int:
     """Sum of box contents j - i, equal to sum lam_i (lam_i - 2i + 1) / 2; always an integer."""
     lam = as_partition(lam)
     total = sum(p * (p - 2 * i + 1) for i, p in enumerate(lam, start=1))
     assert total % 2 == 0
     return total // 2
-
-
-def ramification(g: int, k: Iterable[int]) -> int:
-    """Number of simple branch points forced by the Hurwitz key (g, k), once `hurwitz_key` accepts it."""
-    return branch_count(*hurwitz_key(g, k))

@@ -91,7 +91,11 @@ MUTANTS = [
     ),
     (
         "count_covers_bruteforce: the r levels leave the work count",
-        "oracle.py", "n_trans**r + r + factorial(d)", "n_trans**r + factorial(d)", None,
+        "oracle.py", "(1 + r * connected) + r + factorial(d)", "(1 + r * connected) + factorial(d)", None,
+    ),
+    (
+        "count_covers_bruteforce: a connected search's transitivity tests leave the work count",
+        "oracle.py", "n_trans**r * (1 + r * connected)", "n_trans**r", None,
     ),
     (
         "count_covers_bruteforce: no refusal from 2^(d-1) <= d!",

@@ -6,14 +6,13 @@ from hurwitz import (
     keys_with_ramification_at_most,
     parity_scan,
     partitions_of,
-    ramification,
 )
 import hurwitz.analysis
 import hurwitz.reference_data
 from hurwitz.analysis import coefficient_sweep, verification_reports
 from hurwitz.cli import main
 from hurwitz.engine import _ledger
-from hurwitz.partitions import key_order
+from hurwitz.partitions import branch_count, hurwitz_key, key_order
 from hurwitz.reference_data import PUBLISHED_CONVERSE_FAILURES
 
 
@@ -22,8 +21,8 @@ def test_key_enumeration():
     assert keys_with_ramification_at_most(1) == [(0, (1,)), (0, (2,))]
     keys = keys_with_ramification_at_most(4)
     assert len(keys) == len(set(keys))
-    assert all(ramification(g, mu) <= 4 for g, mu in keys)
-    rs = [ramification(g, mu) for g, mu in keys]
+    assert all(branch_count(*hurwitz_key(g, mu)) <= 4 for g, mu in keys)
+    rs = [branch_count(*hurwitz_key(g, mu)) for g, mu in keys]
     assert rs == sorted(rs)
     # nothing in range is missed
     assert (0, (3, 1)) in keys and (2, (1,)) in keys and (1, (2,)) in keys
@@ -34,11 +33,11 @@ def test_key_enumeration_matches_a_sorted_reference():
     # weight, reverse-lex profile); a filter of a sorted list stays sorted
     reference = sorted(
         (
-            (ramification(g, mu), g, sum(mu), tuple(-p for p in mu), mu)
+            (branch_count(*hurwitz_key(g, mu)), g, sum(mu), tuple(-p for p in mu), mu)
             for n in range(1, 25)
             for mu in partitions_of(n)
             for g in range(12)
-            if ramification(g, mu) <= 23
+            if branch_count(*hurwitz_key(g, mu)) <= 23
         )
     )
     # `key_order` spells the same order: it sorts the keys back from reversed

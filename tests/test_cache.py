@@ -9,51 +9,42 @@ from hypothesis import example, given, settings, strategies as st
 
 from hurwitz import CacheConflictError, HurwitzCache, cache_load, hurwitz_number
 from hurwitz.analysis import keys_with_ramification_at_most
-from hurwitz.partitions import as_partition, ramification
+from hurwitz.partitions import as_partition, branch_count, hurwitz_key
 
 
-def test_insert_get_and_idempotence():
-    cache = HurwitzCache()
-    cache.insert(0, (1,), Fraction(1))
-    assert cache.twice.get((0, (1,))) == 2
-    cache.insert(0, (1,), Fraction(1))  # same value: no-op
-    assert len(cache) == 1
-    with pytest.raises(CacheConflictError):
-        cache.insert(0, (1,), Fraction(2))
+def _write_lines(path, entries):
+    """Write the lines `save` writes for (g, mu, value) entries, in the order
+    given; a cache loaded from them takes each value through its one door."""
+    lines = []
+    for g, mu, value in entries:
+        value = Fraction(value)
+        record = {"g": g, "mu": list(mu), "num": str(value.numerator), "den": str(value.denominator)}
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    Path(path).write_text("".join(lines), encoding="ascii")
 
 
 def test_save_load_roundtrip(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = HurwitzCache(path)
-    cache.insert(0, (1,), Fraction(1))
-    cache.insert(0, (2,), Fraction(1, 2))
-    cache.insert(2, (2, 1), Fraction(364))
+    hurwitz_number(2, (2, 1), cache)
+    assert cache.twice[(0, (2,))] == 1 and cache.twice[(2, (2, 1))] == 728
     cache.save()
     loaded = cache_load(path)
     assert loaded.twice == cache.twice
     assert loaded.path == path
 
 
-def test_insert_stores_at_the_canonical_key_that_load_gives_back(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache(path)
-    cache.insert(0, (1, 2), Fraction(4))
-    assert cache.twice == {(0, (2, 1)): 8}
-    cache.save()
-    assert cache_load(path).twice == {(0, (2, 1)): 8}
-
-
 def test_failed_save_keeps_the_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     cache = HurwitzCache(str(path))
-    cache.insert(0, (1,), Fraction(1))
+    hurwitz_number(0, (1,), cache)
     cache.save()
     before = path.read_bytes()
 
     def broken_replace(src, dst):
         raise OSError("disk full")
 
-    cache.insert(0, (2,), Fraction(1, 2))
+    hurwitz_number(0, (2,), cache)
     monkeypatch.setattr(os, "replace", broken_replace)
     with pytest.raises(OSError, match="disk full"):
         cache.save()
@@ -71,7 +62,7 @@ def test_load_missing_path_gives_empty_cache_at_that_path(tmp_path):
 
 def test_save_without_a_path_is_refused():
     cache = HurwitzCache()
-    cache.insert(0, (1,), Fraction(1))
+    hurwitz_number(0, (1,), cache)
     with pytest.raises(ValueError, match="^no cache path configured$"):
         cache.save()
     assert cache.twice == {(0, (1,)): 2}
@@ -177,24 +168,6 @@ def test_load_accepts_any_spacing_and_key_order(tmp_path):
     path = tmp_path / "c.jsonl"
     path.write_text('{ "den": "2",  "mu": [ 2 ], "num": "1", "g": 0 }\n{"g": 1, "mu": [3], "num": "27", "den": "1"}\n')
     assert cache_load(str(path)).twice == {(0, (2,)): 1, (1, (3,)): 54}
-
-
-@pytest.mark.parametrize(
-    "g, mu, message",
-    [
-        (True, (2,), "genus is not an integer: True"),
-        (1.5, (3,), "genus is not an integer: 1.5"),
-        (-1, (2,), "genus must be non-negative"),
-        (0, (), "empty ramification profile"),
-        (0, (True,), "not a partition: (True,)"),
-    ],
-)
-def test_insert_refuses_a_key_that_load_refuses(g, mu, message):
-    cache = HurwitzCache()
-    with pytest.raises(ValueError) as info:
-        cache.insert(g, mu, Fraction(1, 2))
-    assert str(info.value) == message
-    assert cache.twice == {}
 
 
 def _reference_load(path):
@@ -350,11 +323,12 @@ def test_load_matches_the_plain_reader_on_every_key_up_to_branch_count_18(tmp_pa
     assert list(cache_load(path).twice.items()) == [(key, 2 * value) for key, value in _reference_load(path).items()]
 
 
-def test_recursion_stores_its_values_without_insert(monkeypatch):
+def test_recursion_stores_its_values_without_the_door(monkeypatch):
+    # `_store` is the door for values from outside; the recursion writes its own.
     def refuse(*args):
-        raise AssertionError("insert called")
+        raise AssertionError("_store called")
 
-    monkeypatch.setattr(HurwitzCache, "insert", refuse)
+    monkeypatch.setattr(HurwitzCache, "_store", refuse)
     cache = HurwitzCache()
     assert hurwitz_number(2, (2, 1), cache) == 364
     assert cache.twice.get((0, (1,))) == 2 and cache.twice.get((2, (2, 1))) == 728
@@ -363,25 +337,23 @@ def test_recursion_stores_its_values_without_insert(monkeypatch):
 def test_two_caches_saving_one_path_in_turn_keep_both_new_keys(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     start = HurwitzCache(path)
-    start.insert(0, (1,), Fraction(1))
+    hurwitz_number(0, (1,), start)
     start.save()
     a, b = cache_load(path), cache_load(path)
-    a.insert(0, (2,), Fraction(1, 2))
-    b.insert(1, (3,), Fraction(9))
+    hurwitz_number(0, (2,), a)  # its one child, (0, (1)), is loaded
+    hurwitz_number(1, (1,), b)  # no child: the ledger of (1, (1)) is empty
     a.save()
     b.save()
-    assert cache_load(path).twice == {(0, (1,)): 2, (0, (2,)): 1, (1, (3,)): 18}
+    assert cache_load(path).twice == {(0, (1,)): 2, (0, (2,)): 1, (1, (1,)): 0}
 
 
 def test_save_over_a_file_that_disagrees_is_a_conflict_and_keeps_the_file(tmp_path):
+    # This cache loads 9 at (1, (3)); another run then saves 8 there.
     path = tmp_path / "cache.jsonl"
-    disk = HurwitzCache(str(path))
-    disk.insert(1, (3,), Fraction(8))
-    disk.insert(0, (1,), Fraction(1))
-    disk.save()
+    _write_lines(path, [(1, (3,), 9)])
+    cache = cache_load(str(path))
+    _write_lines(path, [(0, (1,), 1), (1, (3,), 8)])
     before = path.read_bytes()
-    cache = HurwitzCache(str(path))
-    cache.insert(1, (3,), Fraction(9))
     with pytest.raises(CacheConflictError) as info:
         cache.save()
     assert str(info.value) == "cache conflict at g=1, mu=(3): 9 != 8"
@@ -395,7 +367,7 @@ def test_save_reports_a_malformed_line_anywhere_in_the_file_before_a_conflict(tm
     disk = b'{"g":0,"mu":[2,1],"num":"5","den":"1"}\n{"g":0,"mu":[1,2],"num":"1","den":"1"}\n'
     path.write_bytes(disk)
     cache = HurwitzCache(str(path))
-    cache.insert(0, (2, 1), Fraction(4))
+    hurwitz_number(0, (2, 1), cache)
     with pytest.raises(ValueError) as info:
         cache.save()
     assert str(info.value) == f"{path}:2: malformed cache line: not a partition: (1, 2)"
@@ -409,15 +381,18 @@ def test_save_reports_a_malformed_line_anywhere_in_the_file_before_a_conflict(tm
 @pytest.mark.parametrize(
     "g, mu, value, shown",
     [(5, (2,), Fraction(1, 3), "(2)"), (0, (3,), Fraction(1, 2), "(3)"), (2, (1,), Fraction(1), "(1)"),
-     (0, (2, 1), Fraction(-4), "(2,1)"), (1, (3,), Fraction(0), "(3)")],
+     (0, (2, 1), Fraction(-4), "(2,1)"), (1, (3,), Fraction(0), "(3)"),
+     (1, (2, 2), Fraction(-(10**29) - 1, 3), "(2,2)")],
 )
-def test_insert_refuses_a_value_the_theorem_rules_out(g, mu, value, shown):
-    cache = HurwitzCache()
+def test_load_refuses_a_value_the_theorem_rules_out(tmp_path, g, mu, value, shown):
+    path = tmp_path / "c.jsonl"
+    _write_lines(path, [(g, mu, value)])
     with pytest.raises(ValueError) as info:
-        cache.insert(g, mu, value)
-    assert str(info.value) == f"cached value {value} at g={g}, mu={shown} contradicts the integrality theorem"
+        cache_load(str(path))
+    assert str(info.value) == (
+        f"{path}:1: malformed cache line: cached value {value} at g={g}, mu={shown} contradicts the integrality theorem"
+    )
     assert type(info.value) is ValueError
-    assert cache.twice == {}
 
 
 def test_save_over_a_file_with_a_value_the_theorem_rules_out_raises_and_keeps_the_file(tmp_path):
@@ -426,7 +401,7 @@ def test_save_over_a_file_with_a_value_the_theorem_rules_out_raises_and_keeps_th
     bad = b'{"g":5,"mu":[2],"num":"1","den":"3"}\n'
     path.write_bytes(bad)
     cache = HurwitzCache(str(path))
-    cache.insert(0, (3,), Fraction(1))
+    hurwitz_number(0, (3,), cache)
     with pytest.raises(ValueError) as info:
         cache.save()
     assert str(info.value) == (
@@ -439,13 +414,10 @@ def test_save_over_a_file_with_a_value_the_theorem_rules_out_raises_and_keeps_th
 def test_save_is_byte_stable_and_order_independent(tmp_path):
     entries = [(0, (1,), Fraction(1)), (1, (3,), Fraction(9)), (0, (2, 2), Fraction(12)), (0, (4,), Fraction(4))]
     p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-    a = HurwitzCache(p1)
-    for g, mu, v in entries:
-        a.insert(g, mu, v)
+    _write_lines(p1, entries)
+    _write_lines(p2, reversed(entries))
+    a, b = cache_load(p1), cache_load(p2)
     a.save()
-    b = HurwitzCache(p2)
-    for g, mu, v in reversed(entries):
-        b.insert(g, mu, v)
     b.save()
     data1 = Path(p1).read_bytes()
     assert data1 == Path(p2).read_bytes()
@@ -456,24 +428,27 @@ def test_save_is_byte_stable_and_order_independent(tmp_path):
 def test_file_format_fields(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = HurwitzCache(path)
-    cache.insert(0, (2,), Fraction(1, 2))
+    hurwitz_number(0, (2,), cache)
     cache.save()
     lines = Path(path).read_text().splitlines()
-    assert len(lines) == 1
-    rec = json.loads(lines[0])
-    assert rec == {"g": 0, "mu": [2], "num": "1", "den": "2"}
+    assert [json.loads(line) for line in lines] == [
+        {"g": 0, "mu": [1], "num": "1", "den": "1"},
+        {"g": 0, "mu": [2], "num": "1", "den": "2"},
+    ]
 
 
 def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
-    path = str(tmp_path / "cache.jsonl")
-    cache = HurwitzCache(path)
-    cache.insert(0, (2,), Fraction(1, 2))
-    cache.insert(3, (1,), Fraction(0))
-    cache.insert(6, (4, 3, 3, 1), Fraction(10**29 + 7))
-    with pytest.raises(ValueError, match="contradicts the integrality theorem"):
-        cache.insert(1, (2, 2), Fraction(-(10**29) - 1, 3))
-    cache.insert(1, (2, 2), Fraction(3 * 10**29 + 1))
-    cache.save()
+    # The file is seeded with spaced records out of key order; `save`
+    # rewrites it compact and sorted.
+    path = tmp_path / "cache.jsonl"
+    seeds = [(6, (4, 3, 3, 1), Fraction(10**29 + 7)), (3, (1,), Fraction(0)),
+             (1, (2, 2), Fraction(3 * 10**29 + 1)), (0, (2,), Fraction(1, 2))]
+    path.write_text(
+        "".join(json.dumps({"mu": list(mu), "den": str(v.denominator), "g": g, "num": str(v.numerator)}) + "\n"
+                for g, mu, v in seeds),
+        encoding="ascii",
+    )
+    cache_load(str(path)).save()
     expected = [
         json.dumps(
             {"g": g, "mu": list(mu), "num": str(v.numerator), "den": str(v.denominator)},
@@ -492,10 +467,9 @@ def test_save_lines_are_the_compact_json_of_each_record(tmp_path):
 def test_sort_order_is_by_branch_count_then_genus(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     cache = HurwitzCache(path)
-    cache.insert(1, (1,), Fraction(0))   # r = 2
-    cache.insert(0, (1,), Fraction(1))   # r = 0
-    cache.insert(0, (2,), Fraction(1, 2))  # r = 1
-    cache.insert(0, (1, 1), Fraction(1, 2))  # r = 2
+    for g, mu in [(1, (1,)), (0, (1,)), (0, (2,)), (0, (1, 1))]:  # r = 2, 0, 1, 2
+        hurwitz_number(g, mu, cache)
+    assert len(cache) == 4
     cache.save()
     lines = Path(path).read_text().splitlines()
     keys = [(json.loads(line)["g"], tuple(json.loads(line)["mu"])) for line in lines]
@@ -523,18 +497,20 @@ def _admitted(g, mu, value):
     )
 )
 def test_roundtrip_random_entries(tmp_path_factory, entries):
-    path = str(tmp_path_factory.mktemp("cache") / "c.jsonl")
-    cache = HurwitzCache(path)
+    folder = tmp_path_factory.mktemp("cache")
+    values = {}
     for g, mu, n, other in entries:
         key = tuple(sorted(mu, reverse=True))
         if not _admitted(g, key, other):
-            before = dict(cache.twice)
+            _write_lines(folder / "refused.jsonl", [(g, key, other)])
             with pytest.raises(ValueError, match="contradicts the integrality theorem"):
-                cache.insert(g, key, other)
-            assert cache.twice == before
-        if cache.twice.get((g, key)) is None:
-            value = next(v for v in (Fraction(n), Fraction(1, 2), Fraction(0)) if _admitted(g, key, v))
-            cache.insert(g, key, value)
+                cache_load(str(folder / "refused.jsonl"))
+        if (g, key) not in values:
+            values[(g, key)] = next(v for v in (Fraction(n), Fraction(1, 2), Fraction(0)) if _admitted(g, key, v))
+    path = str(folder / "c.jsonl")
+    _write_lines(path, [(g, mu, v) for (g, mu), v in values.items()])
+    cache = cache_load(path)
+    assert cache.twice == {key: int(2 * v) for key, v in values.items()}
     cache.save()
     assert cache_load(path).twice == cache.twice
 
@@ -560,7 +536,7 @@ def test_a_loaded_cache_feeds_the_recursion(tmp_path):
     cold.save()
     warm = cache_load(path)
     fresh = HurwitzCache()
-    top = [(g, mu) for g, mu in keys_with_ramification_at_most(10) if ramification(g, mu) == 10]
+    top = [(g, mu) for g, mu in keys_with_ramification_at_most(10) if branch_count(*hurwitz_key(g, mu)) == 10]
     for g, mu in top:
         assert hurwitz_number(g, mu, warm) == hurwitz_number(g, mu, fresh), (g, mu)
     assert len(warm) == len(cold) + len(top)

@@ -20,10 +20,10 @@ from hurwitz import (
     one_part_genus0,
     parity_scan,
     partitions_of,
-    ramification,
     stirling2,
     two_part_genus0,
 )
+from hurwitz.partitions import branch_count, hurwitz_key
 from hurwitz.reference_data import reference_rows
 
 
@@ -171,9 +171,9 @@ def test_merge_identity(shared_cache):
 def test_recursion_termination_metric():
     # every child of the ledger has a strictly smaller branch count
     for g, mu in keys_with_ramification_at_most(10):
-        r = ramification(g, mu)
+        r = branch_count(*hurwitz_key(g, mu))
         for term in engine._ledger(g, mu):
-            assert all(ramification(cg, cmu) < r for cg, cmu in term[2]), (g, mu, term)
+            assert all(branch_count(*hurwitz_key(cg, cmu)) < r for cg, cmu in term[2]), (g, mu, term)
 
 
 def _fraction_evaluation(r_max):
@@ -225,7 +225,7 @@ def test_ledger_builds_only_the_binomials_a_split_reads(monkeypatch):
 def test_inexact_division_at_a_key_raises():
     # 8h at (0, (2)) is twice * (2 h(0,(1)))^2 = 1 * 3 * 3, not divisible by 4
     cache = engine.HurwitzCache()
-    cache.twice[(0, (1,))] = 3  # 2h for h = 3/2, which `insert` refuses by the integrality theorem
+    cache.twice[(0, (1,))] = 3  # 2h for h = 3/2, which `_store` refuses by the integrality theorem
     with pytest.raises(ArithmeticError, match=r"g=0, mu=\(2\) is not a multiple of 1/2: 8h = 9"):
         hurwitz_number(0, (2,), cache)
     # 8h at (0, (4)) is 6 * 1 * 3 + 8 * 1 * 1 = 26: even, yet not divisible by 4
@@ -257,7 +257,7 @@ def _reference_ledger(g, lam):
             remaining.remove(x)
         return tuple(sorted(remaining, reverse=True))
 
-    r = ramification(g, lam)
+    r = branch_count(*hurwitz_key(g, lam))
     m = Counter(lam)
     values = sorted(m, reverse=True)
     terms = []
@@ -293,7 +293,7 @@ def _reference_ledger(g, lam):
                     side, mirror = (g1, alpha, sub), (g - g1, beta, co)
                     if side > mirror:
                         continue
-                    binomial = comb(r - 1, ramification(g1, lp))
+                    binomial = comb(r - 1, branch_count(*hurwitz_key(g1, lp)))
                     c = Fraction((sub.count(alpha) + 1) * (co.count(beta) + 1) * alpha * beta * binomial, 2)
                     children = ((g1, lp), (g - g1, np_))
                     if side == mirror:
@@ -357,10 +357,15 @@ def test_concurrent_recursion_into_shared_cache():
 
 
 def test_connected_from_log_examples():
-    assert connected_from_log(0, (3,)) == 1
-    assert connected_from_log(1, (1,)) == 0
-    assert connected_from_log(1, (2, 1)) == 40
+    assert connected_from_log(0, (3,), method="operator") == 1
+    assert connected_from_log(1, (1,), method="operator") == 0
+    assert connected_from_log(1, (2, 1), method="operator") == 40
     assert connected_from_log(1, (2, 1), method="charsum") == 40
+
+
+def test_connected_from_log_needs_a_named_route():
+    with pytest.raises(TypeError):
+        connected_from_log(0, (3,))
 
 
 @pytest.mark.parametrize(
@@ -391,10 +396,10 @@ def test_normalized_form_of_recursion(shared_cache):
     for n in range(2, 6):
         for g in range(3):
             flat = (1,) * n
-            r = ramification(g, flat)
+            r = branch_count(*hurwitz_key(g, flat))
             lhs = r * Fraction(factorial(n), factorial(r)) * hurwitz_number(g, flat, shared_cache)
             merged = (2,) + (1,) * (n - 2)
-            normalized = Fraction(factorial(n - 2), factorial(ramification(g, merged)))
+            normalized = Fraction(factorial(n - 2), factorial(branch_count(*hurwitz_key(g, merged))))
             rhs = n * (n - 1) * normalized * hurwitz_number(g, merged, shared_cache)
             assert lhs == rhs
 

@@ -5,12 +5,12 @@ split profiles, the characters come from one Murnaghan-Nakayama recursion
 on bead masks, the integrality theorem guards its one door, each fact
 about a Hurwitz key is written once, in `partitions`, every message that
 names a profile prints it through `format_partition`, each container has
-one checked door, and the API keeps no knob that no caller sets."""
+one checked door, the API keeps no knob that no caller sets, and every name
+the package exports has a reader."""
 
 import ast
 import inspect
 import re
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -21,6 +21,7 @@ from hurwitz.engine import GenSeries, HurwitzCache, hurwitz_number
 from hurwitz.symfunc import PowerSumPoly
 
 MODULES = sorted(p for p in Path(hurwitz.__file__).parent.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def unused_imports(source: str) -> list[str]:
@@ -263,11 +264,11 @@ def test_the_integrality_theorem_is_checked_at_the_cache_door_and_by_its_audit()
 
 def test_the_cache_has_one_conflict_rule_and_save_stores_the_file_through_it():
     # Every value that enters a cache from outside the recursion goes through
-    # `_store`'s one conflict check: `insert`'s, each line `cache_load` reads,
-    # and each entry of the file `save` reloads before it replaces it.
+    # `_store`'s one conflict check: each line `cache_load` reads, and each
+    # entry of the file `save` reloads before it replaces it.
     source = next(p for p in MODULES if p.name == "engine.py").read_text(encoding="utf-8")
     assert conflict_raises(source) == 1
-    assert callers_of(source, "_store") == ["HurwitzCache.insert", "HurwitzCache.save", "cache_load"]
+    assert callers_of(source, "_store") == ["HurwitzCache.save", "cache_load"]
     assert callers_of(source, "cache_load") == ["HurwitzCache.save"]
     assert "merge" not in vars(HurwitzCache)
 
@@ -413,6 +414,17 @@ def test_the_series_keeps_only_the_methods_the_commands_call():
     assert not hasattr(engine, "_series_key")
 
 
+def test_the_cache_keeps_only_the_methods_the_commands_call():
+    # A value from outside enters only as a cache line, through `cache_load`
+    # or `save`'s reload; the recursion writes `twice` itself.
+    methods = {
+        name
+        for name, value in vars(HurwitzCache).items()
+        if callable(value) and (name.startswith("__") or not name.startswith("_"))
+    }
+    assert methods == {"__init__", "__len__", "save"}
+
+
 def test_monomial_takes_only_a_profile():
     # a coefficient is a scalar product: `PowerSumPoly.monomial(mu) * c`
     assert list(inspect.signature(PowerSumPoly.monomial).parameters) == ["mu"]
@@ -427,10 +439,53 @@ def test_the_cache_keeps_one_value_map(tmp_path):
     cache = HurwitzCache(path)
     assert set(vars(cache)) == state
     hurwitz_number(1, (2, 1), cache)
-    cache.insert(0, (3,), Fraction(1))
     other = HurwitzCache(path)
-    other.insert(1, (3,), Fraction(9))
+    hurwitz_number(0, (4,), other)  # a key of weight 4, which (1, (2, 1)) does not reach
     other.save()
-    cache.save()  # stores the entry `other` saved
-    assert (1, (3,)) in cache.twice
+    cache.save()  # stores the entries `other` saved
+    assert (0, (4,)) in cache.twice
     assert set(vars(cache)) == state
+
+
+def exported_names(init_source: str) -> list[str]:
+    """The names a package `__init__` binds by its relative `from . import` lines."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(init_source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def unused_exports(init_source: str, sources: list[str]) -> list[str]:
+    """Exported names that no expression of `sources` reads, as a name or an
+    attribute; a definition or an import is not a read."""
+    read = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in exported_names(init_source) if name not in read]
+
+
+def test_every_export_has_a_reader():
+    # A name the package exports is read by a module of the package, by an
+    # acceptance criterion or by README's library example; else it goes.
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    after = readme[readme.index("\n## Library example\n"):]
+    start = after.index("```python\n") + len("```python\n")
+    sources = [path.read_text(encoding="utf-8") for path in MODULES] + [
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"),
+        after[start:after.index("```", start)],
+    ]
+    init = (Path(hurwitz.__file__).parent / "__init__.py").read_text(encoding="utf-8")
+    assert unused_exports(init, sources) == []
+
+
+def test_the_guard_finds_an_unused_export():
+    init = "from .a import f, g as h\nfrom .b import K\nfrom math import comb\n"
+    sources = ["def h():\n    pass\nfrom .a import h\n", "x = f(1)\n", "y = b.K\n"]
+    assert exported_names(init) == ["f", "h", "K"]
+    assert unused_exports(init, sources) == ["h"]

@@ -10,12 +10,13 @@ import pytest
 import hurwitz.oracle
 from hurwitz import (
     WorkBoundExceeded,
-    conj_class_size,
+    centralizer_order,
     count_covers_bruteforce,
     disconnected_count_charsum,
     hurwitz_number,
     partitions_of,
 )
+from hurwitz.cli import main
 from hurwitz.oracle import WORK_BOUND, cycle_type
 
 
@@ -38,7 +39,7 @@ def test_enumerate_class_examples():
 def test_enumerate_class_sizes():
     for d in range(1, 7):
         sizes = Counter(cycle_type(p) for p in permutations(range(d)))
-        assert sizes == {mu: conj_class_size(mu) for mu in partitions_of(d)}
+        assert sizes == {mu: factorial(d) // centralizer_order(mu) for mu in partitions_of(d)}
 
 
 def test_count_examples():
@@ -56,6 +57,18 @@ def test_rejects_bad_input():
         count_covers_bruteforce(2, -1, (2,))
 
 
+def test_a_connected_search_counts_its_transitivity_tests(monkeypatch):
+    # 6^5 = 7,776 tuples, 5 levels and 168 indexing steps: 7,949 runs at 10^4.
+    # Connected, each hit is also tested over its 5 transpositions:
+    # 6 x 7,776 + 173 = 46,829 is refused.  It is the rule's first test, so
+    # the mutation gate names it as the killer of a rule without that term.
+    monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**4)
+    assert count_covers_bruteforce(4, 5, (2, 1, 1)) == disconnected_count_charsum(4, 5, (2, 1, 1))
+    with pytest.raises(WorkBoundExceeded) as exc:
+        count_covers_bruteforce(4, 5, (2, 1, 1), connected=True)
+    assert str(exc.value) == "search size exceeds work bound 10000 for d=4, r=5, len(mu)=3"
+
+
 class _Indexed(Exception):
     """Raised in place of indexing S_d: the call got past its refusal check."""
 
@@ -67,22 +80,24 @@ def test_refusal_rule_and_message(monkeypatch):
     monkeypatch.setattr(hurwitz.oracle, "permutations", no_indexing)
     with pytest.raises(WorkBoundExceeded):  # at the default bound
         count_covers_bruteforce(12, 0, (1,) * 12)
-    # At 10, the r levels alone decide ten (d, r) pairs with d <= 2.
+    # At 10, the r levels alone decide ten (d, r) pairs with d <= 2.  A
+    # connected count also tests each hit over its r transpositions.
     for bound in (10, 10**3, 10**5):
         monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", bound)
         for d in range(1, 9):
             for mu in partitions_of(d):
                 for r in range(13):
-                    work = comb(d, 2) ** r + r + factorial(d) * (comb(d, 2) + 1)
-                    if work > bound:
-                        with pytest.raises(WorkBoundExceeded) as exc:
-                            count_covers_bruteforce(d, r, mu)
-                        assert str(exc.value) == (
-                            f"search size exceeds work bound {bound} for d={d}, r={r}, len(mu)={len(mu)}"
-                        )
-                    else:
-                        with pytest.raises(_Indexed):
-                            count_covers_bruteforce(d, r, mu)
+                    for connected in (False, True):
+                        work = comb(d, 2) ** r * (1 + r * connected) + r + factorial(d) * (comb(d, 2) + 1)
+                        if work > bound:
+                            with pytest.raises(WorkBoundExceeded) as exc:
+                                count_covers_bruteforce(d, r, mu, connected=connected)
+                            assert str(exc.value) == (
+                                f"search size exceeds work bound {bound} for d={d}, r={r}, len(mu)={len(mu)}"
+                            )
+                        else:
+                            with pytest.raises(_Indexed):
+                                count_covers_bruteforce(d, r, mu, connected=connected)
     monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**6)
     with pytest.raises(WorkBoundExceeded) as exc:
         count_covers_bruteforce(6, 9, (6,))
@@ -109,11 +124,25 @@ def test_a_refusal_by_a_lower_bound_builds_no_term(monkeypatch):
 
 
 def test_a_search_the_class_size_no_longer_refuses_runs(monkeypatch, shared_cache):
-    # 6^4 = 1,296 tuples, 4 levels and 4! (6 + 1) = 168 indexing steps: 1,468.
-    # The class size 8 of (3, 1) is no factor: 8 x 1,296 + 168 would pass 10^4.
+    # 6^4 = 1,296 tuples, 4 levels and 4! (6 + 1) = 168 indexing steps: 1,468,
+    # and 5 x 1,296 + 172 = 6,652 for a connected count, which tests each hit
+    # over its 4 transpositions.  The class size 8 of (3, 1) is no factor:
+    # 8 x 1,296 + 168 would pass 10^4.
     monkeypatch.setattr(hurwitz.oracle, "WORK_BOUND", 10**4)
     assert count_covers_bruteforce(4, 4, (3, 1)) == disconnected_count_charsum(4, 4, (3, 1))
     assert count_covers_bruteforce(4, 4, (3, 1), connected=True) == hurwitz_number(0, (3, 1), shared_cache)
+
+
+@pytest.mark.parametrize("g, mu, parts", [("2", "1,1,1,1", 4), ("3", "2,2", 2), ("3", "3,1", 2)])
+def test_the_cli_refuses_a_connected_search_past_the_bound(capsys, tmp_path, g, mu, parts):
+    # 6^10 = 6.0e7 tuples alone pass; 11 x 6^10, with each hit tested over
+    # its 10 transpositions, does not.
+    cache = tmp_path / "cache.jsonl"
+    assert main(["compute", g, mu, "--method", "oracle", "--cache", str(cache)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"refused: search size exceeds work bound {WORK_BOUND} for d=4, r=10, len(mu)={parts}\n"
+    assert not cache.exists()
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit")

@@ -1,5 +1,4 @@
 import json
-from fractions import Fraction
 from math import comb, factorial
 
 import pytest
@@ -10,7 +9,6 @@ from hurwitz import (
     cache_load,
     centralizer_order,
     coefficient_audit,
-    conj_class_size,
     conjugate,
     connected_from_log,
     content_sum,
@@ -21,10 +19,9 @@ from hurwitz import (
     one_part_closed,
     one_part_closed_stirling,
     partitions_of,
-    ramification,
     sort_to_partition,
 )
-from hurwitz.partitions import as_partition, cover_args
+from hurwitz.partitions import as_partition, branch_count, cover_args
 
 
 def brute_partitions(n):
@@ -138,16 +135,16 @@ def test_dim_times_hook_is_factorial():
             assert dim_irrep(lam) * hook_product(lam) == factorial(n)
 
 
-def test_conj_class_size():
-    assert conj_class_size((2,)) == 1
-    assert conj_class_size((3,)) == 2
-    assert conj_class_size((2, 1)) == 3
+def test_centralizer_order_gives_class_sizes():
+    assert factorial(2) // centralizer_order((2,)) == 1
+    assert factorial(3) // centralizer_order((3,)) == 2
+    assert factorial(3) // centralizer_order((2, 1)) == 3
 
 
 def test_class_sizes_and_dims_sum_to_group_order():
     for n in range(1, 11):
         parts = partitions_of(n)
-        assert sum(conj_class_size(mu) for mu in parts) == factorial(n)
+        assert sum(factorial(n) // centralizer_order(mu) for mu in parts) == factorial(n)
         assert sum(dim_irrep(lam) ** 2 for lam in parts) == factorial(n)
 
 
@@ -163,16 +160,11 @@ def test_content_sum_antisymmetric_under_conjugation():
             assert content_sum(lam) + content_sum(conjugate(lam)) == 0
 
 
-def test_ramification():
-    assert ramification(0, (1,)) == 0
-    assert ramification(1, (3,)) == 4
-    assert ramification(0, (2,)) == 1
-    with pytest.raises(ValueError):
-        ramification(0, ())
-    with pytest.raises(ValueError, match="^genus must be non-negative$"):
-        ramification(-1, (2,))
-    with pytest.raises(ValueError):
-        ramification(0, (2, 0))
+def test_branch_count_at_a_checked_key():
+    assert branch_count(*hurwitz_key(0, (1,))) == 0
+    assert branch_count(*hurwitz_key(1, (3,))) == 4
+    assert branch_count(*hurwitz_key(0, (2,))) == 1
+    assert branch_count(*hurwitz_key(2, (1, 3, 1))) == 10
 
 
 def test_sort_to_partition():
@@ -184,9 +176,9 @@ def test_sort_to_partition():
 
 
 @pytest.mark.parametrize("g", [True, False, 1.0, "1"])
-def test_ramification_refuses_a_genus_that_is_not_an_int(g):
+def test_hurwitz_key_refuses_a_genus_that_is_not_an_int(g):
     with pytest.raises(ValueError) as info:
-        ramification(g, (2,))
+        hurwitz_key(g, (2,))
     assert str(info.value) == f"genus is not an integer: {g!r}"
 
 
@@ -199,7 +191,7 @@ def test_partition_checks_refuse_bools(parts):
     with pytest.raises(ValueError):
         sort_to_partition(parts)
     with pytest.raises(ValueError, match="not a partition"):
-        ramification(0, parts)
+        hurwitz_key(0, parts)
 
 
 def test_cover_args():
@@ -223,7 +215,7 @@ def test_multiindex_functions_are_permutation_invariant(lam, rng):
     rng.shuffle(shuffled)
     assert sort_to_partition(shuffled) == lam
     if lam:
-        assert ramification(2, shuffled) == ramification(2, lam)
+        assert branch_count(*hurwitz_key(2, shuffled)) == branch_count(*hurwitz_key(2, lam))
 
 
 def test_hurwitz_key_returns_the_sorted_profile():
@@ -248,11 +240,9 @@ def test_every_entry_point_refuses_a_bad_key_with_one_message(tmp_path, g, mu, m
     cache = HurwitzCache()
     calls = [
         hurwitz_key,
-        ramification,
-        hurwitz_number,
-        connected_from_log,
+        lambda g, mu: hurwitz_number(g, mu, cache),
+        lambda g, mu: connected_from_log(g, mu, "operator"),
         coefficient_audit,
-        lambda g, mu: cache.insert(g, mu, Fraction(1, 2)),
     ]
     if len(mu) == 1:
         calls += [lambda g, mu: one_part_closed(g, mu[0]), lambda g, mu: one_part_closed_stirling(g, mu[0])]
